@@ -17,6 +17,9 @@ namespace {
   throw std::runtime_error("gxm node '" + n.name() + "' (" + n.type() +
                            "): " + what);
 }
+
+/// Widest blocked vector (AVX-512 fp32); sizes per-lane scratch arrays.
+constexpr int kMaxLanes = 16;
 }  // namespace
 
 std::unique_ptr<Node> make_node(const NodeSpec& spec) {
@@ -49,8 +52,7 @@ void InputNode::infer_shapes() {
 }
 
 void InputNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
   labels_.assign(tops[0]->shape.n, 0);
 }
 
@@ -91,8 +93,7 @@ void ConvNode::infer_shapes() {
 }
 
 void ConvNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
   const PortShape& b = bottoms[0]->shape;
   core::ConvParams p;
   p.N = b.n;
@@ -151,6 +152,7 @@ void ConvNode::apply_update(const Solver& s) {
   float* g = dwt_.data();
   float* v = vel_.data();
   const std::size_t n = wt_.size();
+#pragma omp parallel for num_threads(threads_) schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
     const float grad = g[i] + s.weight_decay * w[i];
     v[i] = s.momentum * v[i] - s.lr * grad;
@@ -177,9 +179,9 @@ void BatchNormNode::infer_shapes() {
 }
 
 void BatchNormNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
   relu_ = spec_.geti("relu", 0) != 0;
+  if (vlen > kMaxLanes) node_fail(*this, "vector length above 16 lanes");
   const int cpad = tensor::ceil_div(bottoms[0]->shape.c, vlen) * vlen;
   gamma_.assign(cpad, 1.0f);
   beta_.assign(cpad, 0.0f);
@@ -193,54 +195,66 @@ void BatchNormNode::setup(int vlen, int threads) {
   run_var_.assign(cpad, 1.0f);
 }
 
+// The BatchNorm loops walk whole lane-contiguous W*v rows and keep one
+// double accumulator per lane. Within a lane the summation order stays
+// n -> h -> w, so the statistics are bitwise those of a lane-by-lane walk
+// while every cache line is read once instead of v times.
+
 void BatchNormNode::forward(bool training) {
   const tensor::ActTensor& x = bottoms[0]->act;
   tensor::ActTensor& y = tops[0]->act;
   const int N = x.n(), CB = x.blocks(), H = x.h(), W = x.w(), v = x.vlen();
   const double count = static_cast<double>(N) * H * W;
+  const bool relu = relu_;
   constexpr float eps = 1e-5f;
 
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (int cb = 0; cb < CB; ++cb) {
-    for (int lane = 0; lane < v; ++lane) {
-      const int c = cb * v + lane;
-      double sum = 0, sum2 = 0;
+    double sum[kMaxLanes] = {}, sum2[kMaxLanes] = {};
+    if (training) {
       for (int n = 0; n < N; ++n)
         for (int h = 0; h < H; ++h) {
           const float* row = x.at(n, cb, h, 0);
-          for (int w = 0; w < W; ++w) {
-            const double val = row[static_cast<std::size_t>(w) * v + lane];
-            sum += val;
-            sum2 += val * val;
-          }
-        }
-      float mu, var;
-      if (training) {
-        mu = static_cast<float>(sum / count);
-        var = static_cast<float>(sum2 / count - mu * static_cast<double>(mu));
-        if (var < 0) var = 0;
-        run_mean_[c] = 0.9f * run_mean_[c] + 0.1f * mu;
-        run_var_[c] = 0.9f * run_var_[c] + 0.1f * var;
-      } else {
-        mu = run_mean_[c];
-        var = run_var_[c];
-      }
-      mean_[c] = mu;
-      invstd_[c] = 1.0f / std::sqrt(var + eps);
-      const float g = gamma_[c], b = beta_[c], is = invstd_[c];
-      for (int n = 0; n < N; ++n)
-        for (int h = 0; h < H; ++h) {
-          const float* row = x.at(n, cb, h, 0);
-          float* orow = y.at(n, cb, h, 0);
-          for (int w = 0; w < W; ++w) {
-            float val =
-                g * (row[static_cast<std::size_t>(w) * v + lane] - mu) * is +
-                b;
-            if (relu_ && val < 0) val = 0;
-            orow[static_cast<std::size_t>(w) * v + lane] = val;
-          }
+          for (int w = 0; w < W; ++w, row += v)
+            for (int l = 0; l < v; ++l) {
+              const double val = row[l];
+              sum[l] += val;
+              sum2[l] += val * val;
+            }
         }
     }
+    float mu[kMaxLanes], is[kMaxLanes], g[kMaxLanes], b[kMaxLanes];
+    for (int l = 0; l < v; ++l) {
+      const int c = cb * v + l;
+      float m, var;
+      if (training) {
+        m = static_cast<float>(sum[l] / count);
+        var = static_cast<float>(sum2[l] / count - m * static_cast<double>(m));
+        if (var < 0) var = 0;
+        run_mean_[c] = 0.9f * run_mean_[c] + 0.1f * m;
+        run_var_[c] = 0.9f * run_var_[c] + 0.1f * var;
+      } else {
+        m = run_mean_[c];
+        var = run_var_[c];
+      }
+      mean_[c] = m;
+      invstd_[c] = 1.0f / std::sqrt(var + eps);
+      mu[l] = m;
+      is[l] = invstd_[c];
+      g[l] = gamma_[c];
+      b[l] = beta_[c];
+    }
+    for (int n = 0; n < N; ++n)
+      for (int h = 0; h < H; ++h) {
+        const float* row = x.at(n, cb, h, 0);
+        float* orow = y.at(n, cb, h, 0);
+        for (int w = 0; w < W; ++w, row += v, orow += v)
+          for (int l = 0; l < v; ++l) {
+            float val = g[l] * (row[l] - mu[l]) * is[l] + b[l];
+            if (relu && val < 0) val = 0;
+            orow[l] = val;
+          }
+      }
   }
 }
 
@@ -251,48 +265,54 @@ void BatchNormNode::backward() {
   tensor::ActTensor& dx = bottoms[0]->grad;
   const int N = x.n(), CB = x.blocks(), H = x.h(), W = x.w(), v = x.vlen();
   const double count = static_cast<double>(N) * H * W;
+  const bool relu = relu_;
 
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (int cb = 0; cb < CB; ++cb) {
-    for (int lane = 0; lane < v; ++lane) {
-      const int c = cb * v + lane;
-      const float mu = mean_[c], is = invstd_[c], g = gamma_[c];
-      // First pass: dgamma, dbeta (with the ReLU mask folded into dy).
-      double sdg = 0, sdb = 0;
-      for (int n = 0; n < N; ++n)
-        for (int h = 0; h < H; ++h) {
-          const float* xr = x.at(n, cb, h, 0);
-          const float* yr = y.at(n, cb, h, 0);
-          const float* gr = dy.at(n, cb, h, 0);
-          for (int w = 0; w < W; ++w) {
-            const std::size_t i = static_cast<std::size_t>(w) * v + lane;
-            float gy = gr[i];
-            if (relu_ && yr[i] <= 0.0f) gy = 0.0f;
-            sdg += gy * (xr[i] - mu) * is;
-            sdb += gy;
-          }
-        }
-      dgamma_[c] = static_cast<float>(sdg);
-      dbeta_[c] = static_cast<float>(sdb);
-      // Second pass: dx = (g*is) * (gy - sdb/count - xhat * sdg/count).
-      const float k1 = g * is;
-      const float m_db = static_cast<float>(sdb / count);
-      const float m_dg = static_cast<float>(sdg / count);
-      for (int n = 0; n < N; ++n)
-        for (int h = 0; h < H; ++h) {
-          const float* xr = x.at(n, cb, h, 0);
-          const float* yr = y.at(n, cb, h, 0);
-          const float* gr = dy.at(n, cb, h, 0);
-          float* dr = dx.at(n, cb, h, 0);
-          for (int w = 0; w < W; ++w) {
-            const std::size_t i = static_cast<std::size_t>(w) * v + lane;
-            float gy = gr[i];
-            if (relu_ && yr[i] <= 0.0f) gy = 0.0f;
-            const float xhat = (xr[i] - mu) * is;
-            dr[i] = k1 * (gy - m_db - xhat * m_dg);
-          }
-        }
+    float mu[kMaxLanes], is[kMaxLanes];
+    for (int l = 0; l < v; ++l) {
+      mu[l] = mean_[cb * v + l];
+      is[l] = invstd_[cb * v + l];
     }
+    // First pass: dgamma, dbeta (with the ReLU mask folded into dy).
+    double sdg[kMaxLanes] = {}, sdb[kMaxLanes] = {};
+    for (int n = 0; n < N; ++n)
+      for (int h = 0; h < H; ++h) {
+        const float* xr = x.at(n, cb, h, 0);
+        const float* yr = y.at(n, cb, h, 0);
+        const float* gr = dy.at(n, cb, h, 0);
+        for (int w = 0; w < W; ++w, xr += v, yr += v, gr += v)
+          for (int l = 0; l < v; ++l) {
+            float gy = gr[l];
+            if (relu && yr[l] <= 0.0f) gy = 0.0f;
+            sdg[l] += gy * (xr[l] - mu[l]) * is[l];
+            sdb[l] += gy;
+          }
+      }
+    // Second pass: dx = (g*is) * (gy - sdb/count - xhat * sdg/count).
+    float k1[kMaxLanes], m_db[kMaxLanes], m_dg[kMaxLanes];
+    for (int l = 0; l < v; ++l) {
+      const int c = cb * v + l;
+      dgamma_[c] = static_cast<float>(sdg[l]);
+      dbeta_[c] = static_cast<float>(sdb[l]);
+      k1[l] = gamma_[c] * is[l];
+      m_db[l] = static_cast<float>(sdb[l] / count);
+      m_dg[l] = static_cast<float>(sdg[l] / count);
+    }
+    for (int n = 0; n < N; ++n)
+      for (int h = 0; h < H; ++h) {
+        const float* xr = x.at(n, cb, h, 0);
+        const float* yr = y.at(n, cb, h, 0);
+        const float* gr = dy.at(n, cb, h, 0);
+        float* dr = dx.at(n, cb, h, 0);
+        for (int w = 0; w < W; ++w, xr += v, yr += v, gr += v, dr += v)
+          for (int l = 0; l < v; ++l) {
+            float gy = gr[l];
+            if (relu && yr[l] <= 0.0f) gy = 0.0f;
+            const float xhat = (xr[l] - mu[l]) * is[l];
+            dr[l] = k1[l] * (gy - m_db[l] - xhat * m_dg[l]);
+          }
+      }
   }
 }
 
@@ -338,8 +358,7 @@ void MaxPoolNode::infer_shapes() {
 }
 
 void MaxPoolNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
   const PortShape& o = tops[0]->shape;
   argmax_.assign(static_cast<std::size_t>(o.n) *
                      tensor::ceil_div(o.c, vlen) * vlen * o.h * o.w,
@@ -469,8 +488,7 @@ void InnerProductNode::infer_shapes() {
 }
 
 void InnerProductNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
   in_c_ = bottoms[0]->shape.c;
   out_k_ = tops[0]->shape.c;
   wt_.assign(static_cast<std::size_t>(out_k_) * in_c_, 0.0f);
@@ -505,15 +523,19 @@ void InnerProductNode::backward() {
   const tensor::ActTensor& dy = tops[0]->grad;
   tensor::ActTensor& dx = bottoms[0]->grad;
   const int N = x.n();
-  std::fill(dwt_.begin(), dwt_.end(), 0.0f);
-  std::fill(dbias_.begin(), dbias_.end(), 0.0f);
-  for (int n = 0; n < N; ++n) {
-    for (int k = 0; k < out_k_; ++k) {
+  // Each thread owns whole dW rows; every element still accumulates over n
+  // in ascending order.
+#pragma omp parallel for num_threads(threads_) schedule(static)
+  for (int k = 0; k < out_k_; ++k) {
+    float* dw = dwt_.data() + static_cast<std::size_t>(k) * in_c_;
+    std::fill(dw, dw + in_c_, 0.0f);
+    float db = 0.0f;
+    for (int n = 0; n < N; ++n) {
       const float g = dy.el(n, k, 0, 0);
-      dbias_[k] += g;
-      float* dw = dwt_.data() + static_cast<std::size_t>(k) * in_c_;
+      db += g;
       for (int c = 0; c < in_c_; ++c) dw[c] += g * x.el(n, c, 0, 0);
     }
+    dbias_[k] = db;
   }
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (int n = 0; n < N; ++n) {
@@ -528,6 +550,7 @@ void InnerProductNode::backward() {
 }
 
 void InnerProductNode::apply_update(const Solver& s) {
+#pragma omp parallel for num_threads(threads_) schedule(static)
   for (std::size_t i = 0; i < wt_.size(); ++i) {
     const float g = dwt_[i] + s.weight_decay * wt_[i];
     vwt_[i] = s.momentum * vwt_[i] - s.lr * g;
@@ -626,6 +649,7 @@ void EltwiseNode::forward(bool) {
   const tensor::ActTensor& b = bottoms[1]->act;
   tensor::ActTensor& y = tops[0]->act;
   const int N = a.n(), CB = a.blocks(), v = a.vlen(), H = a.h(), W = a.w();
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n)
     for (int cb = 0; cb < CB; ++cb)
       for (int h = 0; h < H; ++h) {
@@ -646,6 +670,7 @@ void EltwiseNode::backward() {
   tensor::ActTensor& da = bottoms[0]->grad;
   tensor::ActTensor& db = bottoms[1]->grad;
   const int N = y.n(), CB = y.blocks(), v = y.vlen(), H = y.h(), W = y.w();
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n)
     for (int cb = 0; cb < CB; ++cb)
       for (int h = 0; h < H; ++h) {
@@ -672,14 +697,13 @@ void SplitNode::forward(bool) {
   // Tensor distribution: interior copy into each branch's buffer (halos may
   // differ per consumer).
   const int N = x.n(), CB = x.blocks(), v = x.vlen(), H = x.h(), W = x.w();
-  for (Port* t : tops) {
-    tensor::ActTensor& y = t->act;
-    for (int n = 0; n < N; ++n)
-      for (int cb = 0; cb < CB; ++cb)
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
+  for (int n = 0; n < N; ++n)
+    for (int cb = 0; cb < CB; ++cb)
+      for (Port* t : tops)
         for (int h = 0; h < H; ++h)
-          std::memcpy(y.at(n, cb, h, 0), x.at(n, cb, h, 0),
+          std::memcpy(t->act.at(n, cb, h, 0), x.at(n, cb, h, 0),
                       sizeof(float) * W * v);
-  }
 }
 
 void SplitNode::backward() {
@@ -687,6 +711,7 @@ void SplitNode::backward() {
   tensor::ActTensor& dx = bottoms[0]->grad;
   const int N = dx.n(), CB = dx.blocks(), v = dx.vlen(), H = dx.h(),
             W = dx.w();
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n)
     for (int cb = 0; cb < CB; ++cb)
       for (int h = 0; h < H; ++h) {

@@ -59,8 +59,13 @@ class Node {
   /// Derive top-port shapes from (already-shaped) bottom ports. Called in
   /// topological order before allocation.
   virtual void infer_shapes() = 0;
-  /// Allocate weights/scratch once ports exist.
-  virtual void setup(int /*vlen*/, int /*threads*/) {}
+  /// Allocate weights/scratch once ports exist. The base records the vector
+  /// length and the thread budget every pass runs with; overrides call it
+  /// first.
+  virtual void setup(int vlen, int threads) {
+    vlen_ = vlen;
+    threads_ = threads;
+  }
   virtual void forward(bool training) = 0;
   virtual void backward() {}
   /// Weight-gradient computation (the UPD pass body). BatchNorm/FC compute

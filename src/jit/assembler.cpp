@@ -290,6 +290,13 @@ void Assembler::vdivps(VecWidth w, Vec dst, Vec a, Vec b) {
   vop_rr(w, 0x5E, kMap0F, kPpNone, dst, a, b);
 }
 
+void Assembler::vzeroupper() {
+  // VEX2 form (C5, R=1 vvvv=1111 L=0 pp=00, opcode 77).
+  buf_.emit8(0xC5);
+  buf_.emit8(0xF8);
+  buf_.emit8(0x77);
+}
+
 // --- AVX-512 integer / mask / pack (codec kernels) ---------------------------
 
 void Assembler::vcvtps2dq(Vec dst, Vec src) {

@@ -3,6 +3,9 @@
 //
 //   * GPR: mov/add/sub/cmp with immediates, reg-reg mov/add, dec-and-branch
 //     loops (backward rel32 jcc), push/pop, ret.
+//   * vzeroupper: every kernel that touches ymm/zmm ends with it, so the
+//     SSE-encoded caller never pays the dirty-upper-state transition penalty
+//     (enforced by the verifier's clean-exit pass).
 //   * SIMD fp32: vmovups (load/store), vbroadcastss, vfmadd231ps
 //     (reg-reg-reg, full-width memory operand, and EVEX embedded-broadcast
 //     memory operand), vxorps, vmaxps, vaddps — in VEX.256 (AVX2) and
@@ -90,6 +93,9 @@ class Assembler {
   void vsubps(VecWidth w, Vec dst, Vec a, Vec b);
   void vmulps(VecWidth w, Vec dst, Vec a, Vec b);
   void vdivps(VecWidth w, Vec dst, Vec a, Vec b);
+  /// Zero the upper bits of every vector register (VEX C5 F8 77); emitted
+  /// right before `ret` by every generator that touches ymm/zmm.
+  void vzeroupper();
 
   // --- AVX-512 integer / mask / pack (codec kernels; zmm512 only) -------------
   /// dst(i32) = cvt_rne(src(fp32)) — rounding follows MXCSR (RNE by default),

@@ -37,6 +37,7 @@ const char* const kCoveredAssemblerOps[] = {
     "vsubps",
     "vmulps",
     "vdivps",
+    "vzeroupper",
     "vcvtps2dq",
     "vpaddd",
     "vpaddd_bcast",
@@ -383,6 +384,12 @@ bool decode_one(Reader& rd, Insn* out, std::string* err) {
     } else {
       return fail("unsupported REX.W opcode");
     }
+  } else if (b == 0xC5) {
+    // --- VEX2: the only two-byte-VEX instruction emitted is vzeroupper.
+    if (rd.u8() != 0xF8 || rd.u8() != 0x77)
+      return fail("VEX2 encoding other than vzeroupper");
+    out->op = Op::vzeroupper;
+    out->min_isa = platform::Isa::avx2;
   } else if (b == 0xC4) {
     // --- VEX3 ---------------------------------------------------------------
     const std::uint8_t p1 = rd.u8();
@@ -404,6 +411,7 @@ bool decode_one(Reader& rd, Insn* out, std::string* err) {
       return fail("VEX encoding the assembler never emits");
     out->op = s.op;
     out->min_isa = s.min_isa;
+    out->vex256 = l256;
     out->vvvv = vvvv;
     if (is_rr) {
       rd.u8();  // consume modrm
@@ -533,6 +541,7 @@ std::string format_insn(const Insn& insn) {
 
   switch (insn.op) {
     case Op::ret:
+    case Op::vzeroupper:
       break;
     case Op::push:
     case Op::pop:

@@ -1,7 +1,8 @@
 // Decoder for the exact x86-64 subset the runtime Assembler emits
 // (src/jit/assembler.cpp). This is deliberately NOT a general x86 decoder:
 // it accepts precisely the encodings our generators produce — GPR
-// moves/arith, push/pop/ret, backward rel32 jcc, the VEX.256 / EVEX.512
+// moves/arith, push/pop/ret, backward rel32 jcc, vzeroupper, the VEX.256 /
+// EVEX.512
 // vector ops of the conv/upd/reduce/codec/gemm/qconv kernels — and treats
 // every other byte sequence as a decode failure. That strictness is the
 // point: a kernel containing anything the emitter cannot have produced is
@@ -53,6 +54,7 @@ enum class Op {
   vsubps,
   vmulps,
   vdivps,
+  vzeroupper,
   // AVX-512 integer / mask / pack
   vcvtps2dq,
   vpaddd,
@@ -105,6 +107,7 @@ struct Insn {
   int vrm = -1;   ///< modrm.rm vector for reg-reg forms
   int mask = 0;   ///< EVEX.aaa opmask (0 = unmasked)
   bool evex = false;
+  bool vex256 = false;  ///< VEX.L=1 (ymm) encoding
   bool bcast = false;  ///< EVEX.b embedded-broadcast memory operand
 
   // Memory operand ([base + disp]); prefetches carry size 0 and are exempt

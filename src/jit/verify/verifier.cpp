@@ -515,6 +515,19 @@ void verify(const Contract& c, const std::uint8_t* code, std::size_t size,
 
   // Pass 4: ABI + memory bounds via abstract interpretation.
   interp.run();
+
+  // Pass 5: clean upper vector state at exit.
+  const bool wide = std::any_of(dr.insns.begin(), dr.insns.end(),
+                                [](const Insn& in) {
+                                  return in.evex || in.vex256;
+                                });
+  // Pass 2 made ret the last instruction, so a wide kernel has >= 2.
+  const std::size_t last = dr.insns.size() - 1;
+  if (wide && dr.insns[last - 1].op != Op::vzeroupper)
+    interp.fail(last,
+                "kernel touches ymm/zmm state but does not execute "
+                "vzeroupper right before ret (dirty upper state slows the "
+                "SSE-encoded caller)");
 }
 
 void maybe_verify(const Contract& c, const std::uint8_t* code,

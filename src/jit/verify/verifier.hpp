@@ -1,7 +1,7 @@
 // Static verifier over generated kernels (the post-emit checking pass of
 // production codegen stacks, applied to our closed emitter subset).
 //
-// Four passes, all running on the finalized code bytes:
+// Five passes, all running on the finalized code bytes:
 //   1. decode    — every byte must parse as an instruction the Assembler can
 //                  emit (decoder.hpp); an undecodable byte is a failure.
 //   2. structure — exactly one `ret`, and it is the last instruction (no
@@ -25,6 +25,12 @@
 //                  inside the caller's `fixed + iters * per_iter` buffer.
 //                  At `ret`, the abstract stack must be empty and
 //                  rbx/rbp/r12..r15 (and rsp) must hold their entry values.
+//   5. clean exit — a kernel that touches ymm/zmm state (any VEX.256 or
+//                  EVEX instruction) must execute vzeroupper immediately
+//                  before its final ret. Dirty upper state would make every
+//                  SSE-encoded instruction the caller runs afterwards pay a
+//                  state-transition penalty; clean state at exit is part of
+//                  the kernel ABI.
 //
 // Wired into kernel construction (KernelRegistry wrappers, the backward
 // GEMM site, QConvLayer) behind XCONV_VERIFY_JIT — on by default in Debug
@@ -83,7 +89,7 @@ Contract contract_for(const CodecKernelDesc& d);
 Contract contract_for(const GemmKernelDesc& d);
 Contract contract_for(const quant::QKernelDesc& d);
 
-/// Run all four passes; throws VerifyError with a diagnostic that includes
+/// Run all five passes; throws VerifyError with a diagnostic that includes
 /// the offending instruction and a disassembly window. `what` labels the
 /// kernel in the message (use the descriptor cache key).
 void verify(const Contract& c, const std::uint8_t* code, std::size_t size,

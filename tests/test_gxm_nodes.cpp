@@ -1,12 +1,18 @@
 // Individual GxM node semantics, including a finite-difference gradient check
 // through a complete small graph — the strongest end-to-end property of the
-// backward implementations (conv duality, BN, pooling, FC, softmax).
+// backward implementations (conv duality, BN, pooling, FC, softmax) — plus
+// bitwise contracts for the BatchNorm loops and thread-count invariance.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "gxm/graph.hpp"
 #include "test_helpers.hpp"
+#include "topo/resnet50.hpp"
 
 using namespace xconv;
 using gxm::Graph;
@@ -224,4 +230,261 @@ layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
     for (int l = 0; l < 16; ++l)
       EXPECT_NEAR(*(gsum.at(0, 0, h, 0) + l),
                   *(g0.at(0, 0, h, 0) + l) + *(g1.at(0, 0, h, 0) + l), 1e-5);
+}
+
+// ---------------------------------------------------------------------------
+// BatchNorm: the lane-contiguous loops are bitwise equal to the lane-by-lane
+// reference below (one lane at a time, stride-v walks over each row).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint32_t bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+/// Lane-by-lane BatchNorm reference state (running stats + last batch stats).
+struct BnRef {
+  std::vector<float> run_mean, run_var, mean, invstd;
+  explicit BnRef(int cpad)
+      : run_mean(cpad, 0.0f), run_var(cpad, 1.0f), mean(cpad), invstd(cpad) {}
+
+  std::vector<float> forward(const tensor::ActTensor& x,
+                             const std::vector<float>& gamma,
+                             const std::vector<float>& beta, bool relu,
+                             bool training) {
+    const int N = x.n(), CB = x.blocks(), H = x.h(), W = x.w(), v = x.vlen();
+    const double count = static_cast<double>(N) * H * W;
+    constexpr float eps = 1e-5f;
+    std::vector<float> y(static_cast<std::size_t>(N) * CB * H * W * v);
+    auto yi = [&](int n, int cb, int h, int w, int lane) {
+      return (((static_cast<std::size_t>(n) * CB + cb) * H + h) * W + w) * v +
+             lane;
+    };
+    for (int cb = 0; cb < CB; ++cb)
+      for (int lane = 0; lane < v; ++lane) {
+        const int c = cb * v + lane;
+        double sum = 0, sum2 = 0;
+        for (int n = 0; n < N; ++n)
+          for (int h = 0; h < H; ++h) {
+            const float* row = x.at(n, cb, h, 0);
+            for (int w = 0; w < W; ++w) {
+              const double val = row[static_cast<std::size_t>(w) * v + lane];
+              sum += val;
+              sum2 += val * val;
+            }
+          }
+        float mu, var;
+        if (training) {
+          mu = static_cast<float>(sum / count);
+          var =
+              static_cast<float>(sum2 / count - mu * static_cast<double>(mu));
+          if (var < 0) var = 0;
+          run_mean[c] = 0.9f * run_mean[c] + 0.1f * mu;
+          run_var[c] = 0.9f * run_var[c] + 0.1f * var;
+        } else {
+          mu = run_mean[c];
+          var = run_var[c];
+        }
+        mean[c] = mu;
+        invstd[c] = 1.0f / std::sqrt(var + eps);
+        const float g = gamma[c], b = beta[c], is = invstd[c];
+        for (int n = 0; n < N; ++n)
+          for (int h = 0; h < H; ++h) {
+            const float* row = x.at(n, cb, h, 0);
+            for (int w = 0; w < W; ++w) {
+              float val =
+                  g * (row[static_cast<std::size_t>(w) * v + lane] - mu) * is +
+                  b;
+              if (relu && val < 0) val = 0;
+              y[yi(n, cb, h, w, lane)] = val;
+            }
+          }
+      }
+    return y;
+  }
+
+  /// Returns dx (dense n,cb,h,w,lane order); dgamma/dbeta via out-params.
+  std::vector<float> backward(const tensor::ActTensor& x,
+                              const tensor::ActTensor& y,
+                              const tensor::ActTensor& dy,
+                              const std::vector<float>& gamma, bool relu,
+                              std::vector<float>* dgamma,
+                              std::vector<float>* dbeta) const {
+    const int N = x.n(), CB = x.blocks(), H = x.h(), W = x.w(), v = x.vlen();
+    const double count = static_cast<double>(N) * H * W;
+    std::vector<float> dx(static_cast<std::size_t>(N) * CB * H * W * v);
+    dgamma->assign(gamma.size(), 0.0f);
+    dbeta->assign(gamma.size(), 0.0f);
+    for (int cb = 0; cb < CB; ++cb)
+      for (int lane = 0; lane < v; ++lane) {
+        const int c = cb * v + lane;
+        const float mu = mean[c], is = invstd[c], g = gamma[c];
+        double sdg = 0, sdb = 0;
+        for (int n = 0; n < N; ++n)
+          for (int h = 0; h < H; ++h) {
+            const float* xr = x.at(n, cb, h, 0);
+            const float* yr = y.at(n, cb, h, 0);
+            const float* gr = dy.at(n, cb, h, 0);
+            for (int w = 0; w < W; ++w) {
+              const std::size_t i = static_cast<std::size_t>(w) * v + lane;
+              float gy = gr[i];
+              if (relu && yr[i] <= 0.0f) gy = 0.0f;
+              sdg += gy * (xr[i] - mu) * is;
+              sdb += gy;
+            }
+          }
+        (*dgamma)[c] = static_cast<float>(sdg);
+        (*dbeta)[c] = static_cast<float>(sdb);
+        const float k1 = g * is;
+        const float m_db = static_cast<float>(sdb / count);
+        const float m_dg = static_cast<float>(sdg / count);
+        for (int n = 0; n < N; ++n)
+          for (int h = 0; h < H; ++h) {
+            const float* xr = x.at(n, cb, h, 0);
+            const float* yr = y.at(n, cb, h, 0);
+            const float* gr = dy.at(n, cb, h, 0);
+            for (int w = 0; w < W; ++w) {
+              const std::size_t i = static_cast<std::size_t>(w) * v + lane;
+              float gy = gr[i];
+              if (relu && yr[i] <= 0.0f) gy = 0.0f;
+              const float xhat = (xr[i] - mu) * is;
+              dx[(((static_cast<std::size_t>(n) * CB + cb) * H + h) * W + w) *
+                     v +
+                 lane] = k1 * (gy - m_db - xhat * m_dg);
+            }
+          }
+      }
+    return dx;
+  }
+};
+
+/// Number of elements of `t` (interior, n,cb,h,w,lane order) whose bits
+/// differ from the dense `ref`.
+int count_bit_diffs(const tensor::ActTensor& t, const std::vector<float>& ref) {
+  const int N = t.n(), CB = t.blocks(), H = t.h(), W = t.w(), v = t.vlen();
+  int diffs = 0;
+  std::size_t i = 0;
+  for (int n = 0; n < N; ++n)
+    for (int cb = 0; cb < CB; ++cb)
+      for (int h = 0; h < H; ++h) {
+        const float* row = t.at(n, cb, h, 0);
+        for (int e = 0; e < W * v; ++e, ++i)
+          if (bits(row[e]) != bits(ref[i])) ++diffs;
+      }
+  return diffs;
+}
+
+int count_bit_diffs(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return -1;
+  int diffs = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (bits(a[i]) != bits(b[i])) ++diffs;
+  return diffs;
+}
+
+}  // namespace
+
+TEST(Nodes, BatchNormBitwiseEqualsLaneByLaneReference) {
+  for (const int vlen : {8, 16}) {
+    for (const int relu : {0, 1}) {
+      SCOPED_TRACE("vlen " + std::to_string(vlen) + " relu " +
+                   std::to_string(relu));
+      GraphOptions o;
+      o.vlen = vlen;
+      o.threads = 3;
+      Graph g(gxm::parse_topology(
+                  "layer { name: \"data\" type: \"Input\" top: \"data\" "
+                  "minibatch: 2 channels: 24 height: 5 width: 7 classes: 3 }\n"
+                  "layer { name: \"bn\" type: \"BatchNorm\" bottom: \"data\" "
+                  "top: \"bn\" relu: " +
+                  std::to_string(relu) +
+                  " }\n"
+                  "layer { name: \"gap\" type: \"AvgPool\" bottom: \"bn\" "
+                  "top: \"gap\" global: 1 }\n"
+                  "layer { name: \"fc\" type: \"InnerProduct\" bottom: "
+                  "\"gap\" top: \"fc\" K: 3 }\n"
+                  "layer { name: \"loss\" type: \"SoftmaxLoss\" bottom: "
+                  "\"fc\" top: \"loss\" }\n"),
+              o);
+      gxm::Node* bn = g.find("bn");
+      ASSERT_NE(bn, nullptr);
+      const tensor::ActTensor& x = bn->bottoms[0]->act;
+      const tensor::ActTensor& y = bn->tops[0]->act;
+      const int cpad = static_cast<int>(bn->param_count() / 2);
+      BnRef ref(cpad);
+      auto gamma_beta = [&](std::vector<float>* gamma,
+                            std::vector<float>* beta) {
+        std::vector<float> p(bn->param_count());
+        bn->export_params(p.data());
+        gamma->assign(p.begin(), p.begin() + cpad);
+        beta->assign(p.begin() + cpad, p.end());
+      };
+      gxm::Solver s;
+      s.lr = 0.5f;  // move gamma/beta well away from their 1/0 init
+      std::vector<float> gamma, beta;
+      for (int step = 0; step < 2; ++step) {
+        gamma_beta(&gamma, &beta);
+        g.forward(true);
+        EXPECT_EQ(count_bit_diffs(y, ref.forward(x, gamma, beta, relu != 0,
+                                                 /*training=*/true)),
+                  0)
+            << "training forward, step " << step;
+        g.backward_compute_grads();
+        std::vector<float> dgamma, dbeta;
+        const std::vector<float> dx =
+            ref.backward(x, y, bn->tops[0]->grad, gamma, relu != 0, &dgamma,
+                         &dbeta);
+        EXPECT_EQ(count_bit_diffs(bn->bottoms[0]->grad, dx), 0)
+            << "backward dx, step " << step;
+        std::vector<float> grads(bn->param_count());
+        bn->export_grads(grads.data());
+        dgamma.insert(dgamma.end(), dbeta.begin(), dbeta.end());
+        EXPECT_EQ(count_bit_diffs(grads, dgamma), 0)
+            << "dgamma/dbeta, step " << step;
+        g.apply_updates(s);
+      }
+      gamma_beta(&gamma, &beta);
+      g.forward(false);
+      EXPECT_EQ(count_bit_diffs(y, ref.forward(x, gamma, beta, relu != 0,
+                                               /*training=*/false)),
+                0)
+          << "inference forward";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Thread-count invariance: the parallel glue (Eltwise, Split, BatchNorm, SGD,
+// InnerProduct dW) keeps every element's operation order, so a ResNet-mini
+// trajectory is bitwise identical at 1 and 4 threads.
+// ---------------------------------------------------------------------------
+
+TEST(Nodes, ResNetMiniBitwiseIdenticalAcrossThreadCounts) {
+  struct Run {
+    std::vector<float> losses, params;
+  };
+  auto run = [](int threads) {
+    GraphOptions o;
+    o.threads = threads;
+    // Minibatch 2 < threads keeps every conv on the task-parallel weight
+    // update, whose summation order does not depend on the thread count.
+    Graph g(gxm::parse_topology(topo::resnet_mini_topology(2, 32, 4)), o);
+    EXPECT_GT(g.splits_inserted(), 0);
+    gxm::Solver s;
+    s.lr = 0.05f;
+    Run r;
+    for (int i = 0; i < 3; ++i) {
+      g.train_step(s);
+      r.losses.push_back(g.loss());
+    }
+    r.params.resize(g.grad_elems());
+    g.export_params(r.params.data());
+    return r;
+  };
+  const Run a = run(1), b = run(4);
+  EXPECT_EQ(count_bit_diffs(a.losses, b.losses), 0);
+  EXPECT_EQ(count_bit_diffs(a.params, b.params), 0);
 }

@@ -61,6 +61,14 @@ TEST(Assembler, RetPushPop) {
                                                  0x5B, 0xC3}));
 }
 
+TEST(Assembler, Vzeroupper) {
+  CodeBuffer b(256);
+  Assembler as(b);
+  as.vzeroupper();
+  as.ret();
+  EXPECT_EQ(bytes(b), (std::vector<std::uint8_t>{0xC5, 0xF8, 0x77, 0xC3}));
+}
+
 TEST(Assembler, MovImmediateForms) {
   CodeBuffer b(256);
   Assembler as(b);

@@ -1,7 +1,9 @@
 // Static JIT verifier (src/jit/verify): decoder round-trips over the full
 // Assembler instruction surface, negative fixtures — hand-assembled broken
-// kernels that must be rejected with the expected diagnostic — and the
-// CodeBuffer hardening (page-size rounding, finalized pages not writable).
+// kernels that must be rejected with the expected diagnostic — the runtime
+// clean-upper-state exit ABI, and the CodeBuffer hardening (page-size
+// rounding, finalized pages not writable).
+#include <cpuid.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,7 +17,11 @@
 
 #include "jit/assembler.hpp"
 #include "jit/code_buffer.hpp"
+#include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
+#include "jit/gemm_kernel_gen.hpp"
+#include "jit/qconv_kernel_gen.hpp"
+#include "jit/upd_kernel_gen.hpp"
 #include "jit/verify/decoder.hpp"
 #include "jit/verify/verifier.hpp"
 #include "platform/cpu.hpp"
@@ -125,6 +131,7 @@ std::vector<OpCase> op_cases() {
        [](Assembler& a) { a.vmulps(kZ, Vec{1}, Vec{2}, Vec{3}); }},
       {Op::vdivps,
        [](Assembler& a) { a.vdivps(kZ, Vec{1}, Vec{2}, Vec{3}); }},
+      {Op::vzeroupper, [](Assembler& a) { a.vzeroupper(); }},
       {Op::vcvtps2dq, [](Assembler& a) { a.vcvtps2dq(Vec{4}, Vec{5}); }},
       {Op::vpaddd, [](Assembler& a) { a.vpaddd(Vec{4}, Vec{5}, Vec{6}); }},
       {Op::vpaddd_bcast,
@@ -192,7 +199,7 @@ TEST(JitDecoder, RoundTripsEveryAssemblerOp) {
     for (const jv::Insn& in : r.insns) seen.insert(in.op);
   }
   // The case table must exercise the full closed instruction set — one case
-  // per Op enumerator (48 as of this writing; the decoder-coverage lint rule
+  // per Op enumerator (49 as of this writing; the decoder-coverage lint rule
   // keeps the enum itself in sync with assembler.hpp).
   EXPECT_EQ(seen.size(),
             static_cast<std::size_t>(jv::Op::prefetcht1) + 1);
@@ -340,6 +347,7 @@ TEST(JitVerifyFixture, RejectsEvexInstructionUnderAvx2Contract) {
   CodeBuffer b(256);
   Assembler a(b);
   a.vxorps(VecWidth::zmm512, Vec{0}, Vec{0}, Vec{0});  // EVEX encoding
+  a.vzeroupper();
   a.ret();
   const std::string msg =
       verify_message(fixture_contract(platform::Isa::avx2), b);
@@ -412,6 +420,7 @@ TEST(JitVerifyFixture, RejectsRuntimeLoopOverAdvancingItsRegion) {
     a.sub_ri(Gpr::rdx, 1);
     a.cmp_ri(Gpr::rdx, 0);
     a.jcc_back(Cond::g, top);
+    a.vzeroupper();
     a.ret();
     EXPECT_EQ(verify_message(c, ok), "");
   }
@@ -429,6 +438,54 @@ TEST(JitVerifyFixture, RejectsRuntimeLoopOverAdvancingItsRegion) {
     const std::string msg = verify_message(c, bad);
     EXPECT_NE(msg.find("advances by"), std::string::npos) << msg;
   }
+}
+
+TEST(JitVerifyFixture, RejectsVectorKernelWithoutVzeroupper) {
+  for (const VecWidth w : {VecWidth::ymm256, VecWidth::zmm512}) {
+    CodeBuffer b(256);
+    Assembler a(b);
+    a.vmovups_load(w, Vec{0}, Mem{Gpr::rdi, 0});
+    a.vmovups_store(w, Mem{Gpr::rdx, 0}, Vec{0});
+    a.ret();  // dirty upper state leaks to the caller
+    const std::string msg = verify_message(fixture_contract(), b);
+    EXPECT_NE(msg.find("does not execute vzeroupper right before ret"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("context:"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("> 0x"), std::string::npos) << msg;  // points at ret
+  }
+}
+
+TEST(JitVerifyFixture, VzeroupperMustImmediatelyPrecedeRet) {
+  CodeBuffer b(256);
+  Assembler a(b);
+  a.vzeroupper();
+  a.vmovups_load(VecWidth::ymm256, Vec{0}, Mem{Gpr::rdi, 0});  // re-dirties
+  a.ret();
+  const std::string msg = verify_message(fixture_contract(), b);
+  EXPECT_NE(msg.find("vzeroupper right before ret"), std::string::npos)
+      << msg;
+}
+
+TEST(JitVerifyFixture, CleanExitRuleAppliesOnlyToVectorKernels) {
+  // A GPR-only kernel leaves no vector state and needs no vzeroupper.
+  CodeBuffer gpr(256);
+  {
+    Assembler a(gpr);
+    a.mov_ri(Gpr::rax, 1);
+    a.ret();
+  }
+  EXPECT_EQ(verify_message(fixture_contract(), gpr), "");
+  // A vector kernel ending in vzeroupper; ret is accepted.
+  CodeBuffer vec(256);
+  {
+    Assembler a(vec);
+    a.vmovups_load(VecWidth::ymm256, Vec{0}, Mem{Gpr::rdi, 0});
+    a.vmovups_store(VecWidth::ymm256, Mem{Gpr::rdx, 0}, Vec{0});
+    a.vzeroupper();
+    a.ret();
+  }
+  EXPECT_EQ(verify_message(fixture_contract(platform::Isa::avx2), vec), "");
 }
 
 TEST(JitVerifyFixture, DiagnosticCarriesContextWindow) {
@@ -456,6 +513,159 @@ TEST(JitVerify, AcceptsAGeneratedConvKernel) {
   auto k = generate_conv_kernel(d);
   EXPECT_NO_THROW(
       jv::verify(jv::contract_for(d), k->code(), k->code_size(), d.key()));
+}
+
+// ---------------------------------------------------------------------------
+// Runtime exit ABI: every kernel family returns with clean upper vector
+// state. XGETBV with ECX=1 reads XINUSE; a clear bit guarantees the state
+// component is in its initial configuration.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::uint64_t kYmmInUse = 1u << 2;        // YMM_Hi128
+constexpr std::uint64_t kZmmHi256InUse = 1u << 6;   // ZMM_Hi256
+
+bool xgetbv1_supported() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid_count(0xD, 1, &a, &b, &c, &d) == 0) return false;
+  return (a & (1u << 2)) != 0;  // CPUID.(EAX=0DH,ECX=1):EAX[2]
+}
+
+std::uint64_t xinuse() {
+  unsigned lo = 0, hi = 0;
+  __asm__ volatile(".byte 0x0f, 0x01, 0xd0" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (static_cast<std::uint64_t>(hi) << 32) | lo;
+}
+
+/// Zeroed float buffer covering the contract region behind `gpr` for
+/// `iters` runtime-loop iterations.
+std::vector<float> region_buf(const jv::Contract& c, int gpr, int iters = 1) {
+  for (const jv::Region& r : c.regions)
+    if (r.base == gpr)
+      return std::vector<float>((r.fixed + r.per_iter * iters) / 4 + 16, 0.f);
+  ADD_FAILURE() << "no region behind gpr " << gpr;
+  return {};
+}
+
+constexpr int kRdi = 7, kRsi = 6, kRdx = 2;
+
+}  // namespace
+
+TEST(JitExitState, EveryKernelFamilyReturnsWithCleanUpperState) {
+  if (!xgetbv1_supported()) GTEST_SKIP() << "host lacks XGETBV with ECX=1";
+  const platform::Isa host = platform::max_isa();
+  if (host < platform::Isa::avx2) GTEST_SKIP() << "host lacks AVX2";
+  const bool avx512 = host >= platform::Isa::avx512;
+  const platform::Isa isa =
+      avx512 ? platform::Isa::avx512 : platform::Isa::avx2;
+  const int v = platform::vlen_fp32(isa);
+  const std::uint64_t dirty_bits = avx512 ? kYmmInUse | kZmmHi256InUse
+                                          : kYmmInUse;
+
+  // Control: a kernel that broadcasts a non-zero value across the full
+  // register and returns without vzeroupper. Upper state is then not in its
+  // initial configuration, so XINUSE must report it.
+  CodeBuffer dirty_buf(256);
+  {
+    Assembler a(dirty_buf);
+    a.vbroadcastss(avx512 ? VecWidth::zmm512 : VecWidth::ymm256, Vec{0},
+                   Mem{Gpr::rdi, 0});
+    a.ret();
+  }
+  dirty_buf.finalize();
+  const auto dirty_fn = dirty_buf.entry<void (*)(const float*)>();
+  const float one = 1.0f;
+
+  // Dirty the state, run one kernel, read XINUSE right after it returns.
+  auto check = [&](const char* family, const std::function<void()>& run) {
+    dirty_fn(&one);
+    const std::uint64_t before = xinuse();
+    run();
+    const std::uint64_t after = xinuse();
+    EXPECT_EQ(before & dirty_bits, dirty_bits)
+        << family << ": control kernel did not dirty the upper state";
+    EXPECT_EQ(after & (kYmmInUse | kZmmHi256InUse), 0u)
+        << family << ": kernel returned with dirty upper vector state "
+        << "(XINUSE=0x" << std::hex << after << ")";
+  };
+
+  {
+    ConvKernelDesc d;
+    d.isa = isa;
+    d.vlen = v;
+    d.rbq = 4;
+    d.in_row_stride = 4 * v;
+    d.out_row_stride = 4 * v;
+    d.c_iters = v;
+    const auto k = generate_conv_kernel(d);
+    const jv::Contract c = jv::contract_for(d);
+    auto in = region_buf(c, kRdi), wt = region_buf(c, kRsi),
+         out = region_buf(c, kRdx);
+    check("conv", [&] {
+      (*k)(in.data(), wt.data(), out.data(), in.data(), wt.data(),
+           out.data());
+    });
+  }
+  {
+    UpdKernelDesc d;
+    d.isa = isa;
+    d.vlen = v;
+    d.bq = 4;
+    d.in_row_stride = 4 * v;
+    d.out_row_stride = 4 * v;
+    const auto k = generate_upd_kernel(d);
+    const jv::Contract c = jv::contract_for(d);
+    auto in = region_buf(c, kRdi), dout = region_buf(c, kRsi),
+         dw = region_buf(c, kRdx);
+    check("upd", [&] {
+      (*k)(in.data(), dout.data(), dw.data(), in.data(), dout.data(),
+           dw.data());
+    });
+  }
+  {
+    ReduceKernelDesc d;
+    d.isa = isa;
+    d.vlen = v;
+    d.copies = 2;
+    d.copy_stride = static_cast<std::int64_t>(d.unroll) * v;
+    const auto k = generate_reduce_kernel(d);
+    const jv::Contract c = jv::contract_for(d);
+    auto src = region_buf(c, kRdi), dst = region_buf(c, kRsi);
+    check("reduce", [&] { (*k)(src.data(), dst.data(), 1); });
+  }
+  {
+    GemmKernelDesc d;
+    d.isa = isa;
+    d.vlen = v;
+    d.n = 4;
+    d.k = v;
+    d.lda = d.ldb = d.ldc = v;
+    const auto k = generate_gemm_kernel(d);
+    const jv::Contract c = jv::contract_for(d);
+    auto b = region_buf(c, kRdi), a = region_buf(c, kRsi),
+         out = region_buf(c, kRdx);
+    check("gemm", [&] { (*k)(b.data(), a.data(), out.data()); });
+  }
+  if (avx512) {
+    CodecKernelDesc d;
+    d.op = CodecOp::fold_add;
+    const auto k = generate_codec_kernel(d);
+    const jv::Contract c = jv::contract_for(d);
+    auto a = region_buf(c, kRdi), b = region_buf(c, kRsi);
+    check("codec", [&] { (*k)(a.data(), b.data(), nullptr, 1, nullptr); });
+  }
+  if (host == platform::Isa::avx512_vnni) {
+    quant::QKernelDesc d;
+    d.rbq = 4;
+    d.in_row_stride = 4 * 16;
+    const auto k = generate_qconv_kernel(d);
+    const jv::Contract c = jv::contract_for(d);
+    std::vector<std::int16_t> in(region_buf(c, kRdi).size() * 2, 0),
+        wt(region_buf(c, kRsi).size() * 2, 0);
+    auto out = region_buf(c, kRdx);
+    check("qconv", [&] { (*k)(in.data(), wt.data(), out.data(), 1.0f); });
+  }
 }
 
 // ---------------------------------------------------------------------------
