@@ -177,8 +177,13 @@ void ConvLayer::backward(const tensor::ActTensor& grad_out,
                          tensor::ActTensor& grad_in) {
   check_bwd_geometry(*this, grad_out, wt, grad_in);
 
-  // Weights change every training iteration: re-run the duality transform.
-  tensor::blocked_fwd_to_bwd(wt, bwd_wt_);
+  // Weights change every training iteration: re-run the duality transform,
+  // one contiguous run of destination blocks per thread.
+  parallel_exact("ConvLayer::backward", [&](int tid) {
+    const Range rg =
+        thread_chunk(static_cast<std::int64_t>(cb_) * kb_, tid, threads_);
+    tensor::blocked_fwd_to_bwd(wt, bwd_wt_, rg.begin, rg.end);
+  });
 
   switch (bwd_algo_) {
     case BwdAlgo::duality_stride1:
@@ -196,8 +201,14 @@ void ConvLayer::backward(const tensor::ActTensor& grad_out,
 void ConvLayer::backward_1x1_strided(const tensor::ActTensor& grad_out,
                                      tensor::ActTensor& grad_in) {
   // Covered pixels (multiples of the stride) are overwritten by beta0
-  // kernels; every other dI pixel is zero.
-  grad_in.zero();
+  // kernels; every other dI pixel is zero. The team clears dI in contiguous
+  // chunks before any kernel scatters into it.
+  parallel_exact("ConvLayer::backward", [&](int tid) {
+    const Range rg = thread_chunk(
+        static_cast<std::int64_t>(grad_in.size()), tid, threads_);
+    if (!rg.empty())
+      std::memset(grad_in.data() + rg.begin, 0, rg.size() * sizeof(float));
+  });
   if (opt_.use_streams && !bwd1x1_streams_.empty()) {
     parallel_exact("ConvLayer::backward", [&](int tid) {
       bwd1x1_streams_[tid].replay(bwd1x1_variants_, grad_out.data(),
@@ -273,19 +284,20 @@ void ConvLayer::dryrun_backward() {
 
 void ConvLayer::backward_gemm(const tensor::ActTensor& grad_out,
                               tensor::ActTensor& grad_in) {
-  grad_in.zero();
   const ConvParams& p = params_;
   const BwdGemmPlan& plan = *bwd_gemm_;
   const int n_chunks =
       p.Q() / plan.qc + (plan.q_rem > 0 ? 1 : 0);
 
   // dI rows overlap across oj when stride < R, so parallelism stays at
-  // (n, cb) granularity (each item owns a full dI feature-map plane).
+  // (n, cb) granularity: each item owns a full dI feature-map plane, clears
+  // it, accumulates into it and finally discards what fell into its halo.
   const std::int64_t total = static_cast<std::int64_t>(p.N) * cb_;
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (std::int64_t it = 0; it < total; ++it) {
     const int cbi = static_cast<int>(it % cb_);
     const int n = static_cast<int>(it / cb_);
+    grad_in.zero_plane(n, cbi);
     for (int kbi = 0; kbi < kb_; ++kbi) {
       for (int oj = 0; oj < p.P(); ++oj) {
         const int ij = oj * p.stride_h;
@@ -314,9 +326,8 @@ void ConvLayer::backward_gemm(const tensor::ActTensor& grad_out,
         }
       }
     }
+    grad_in.zero_halo(n, cbi);
   }
-  // Gradients that fell into the padding halo are discarded.
-  grad_in.zero_halo();
 }
 
 }  // namespace xconv::core

@@ -71,7 +71,8 @@ inline constexpr int kUpdBqCap = 32;
 inline constexpr int kUpdBlockMin = 2;
 
 /// Backward GEMM fallback (Algorithm 7): max N (output pixels) per GEMM
-/// call, matching the JIT GEMM generator's accumulator budget.
+/// call, the AVX-512 JIT GEMM generator's accumulator budget. Planning caps
+/// it further by the target ISA's budget (12 on AVX2).
 inline constexpr int kBwdGemmMaxCols = 28;
 
 /// Traffic model (Section II-J): minibatch parallelism moves ~2 extra dW

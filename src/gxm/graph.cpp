@@ -20,6 +20,7 @@ Graph::Graph(const std::vector<NodeSpec>& nl_in, const GraphOptions& opt)
   extend_nl(nl);                     // ENL
   build_eng(nl);                     // ENG (+ shape inference + allocation)
   build_etg();                       // PETG -> UETG -> ETG
+  mark_live_grads();                 // ETG: eliminate dead bwd-data
 }
 
 // NL Extender: count consumers per top; where a top feeds k > 1 bottoms,
@@ -162,6 +163,16 @@ void Graph::build_etg() {
     if (t.node->param_count() > 0)
       bwd_param_segs_.push_back(
           {t.node, grad_offsets_.at(t.node), t.node->param_count()});
+}
+
+void Graph::mark_live_grads() {
+  // NL order is topological, so every bottom is marked before its consumer.
+  for (auto& up : nodes_) {
+    Node* n = up.get();
+    bool live = n->param_count() > 0;
+    for (const Port* b : n->bottoms) live = live || b->grad_live;
+    for (Port* t : n->tops) t->grad_live = live;
+  }
 }
 
 void Graph::forward(bool training) {

@@ -10,7 +10,11 @@
 //           (FWD after producers' FWD; BWD after consumers' BWD; UPD with
 //           the same deps as the node's BWD)
 //   UETG  — task binning: tasks ordered into pass bins by topological level
-//   ETG   — duplicates eliminated; final executable schedules
+//   ETG   — duplicates eliminated; final executable schedules. Gradients
+//           nobody reads are eliminated too: Port::grad_live marks the ports
+//           whose gradient reaches a parameter, and a node whose bottom is
+//           dead may skip its bwd-data (its task stays in the schedule for
+//           the weight gradient).
 #pragma once
 
 #include <functional>
@@ -109,6 +113,7 @@ class Graph {
   void extend_nl(std::vector<NodeSpec>& nl);           // NL -> ENL
   void build_eng(const std::vector<NodeSpec>& enl);    // ENL -> ENG
   void build_etg();                                    // PETG -> UETG -> ETG
+  void mark_live_grads();                              // Port::grad_live
 
   GraphOptions opt_;
   int vlen_ = 16;

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "gxm/data.hpp"
+#include "tensor/transform.hpp"
 
 namespace xconv::gxm {
 
@@ -140,6 +141,8 @@ void ConvNode::forward(bool) {
 }
 
 void ConvNode::backward() {
+  // Dead bwd-data (e.g. a conv fed by Input): nothing upstream reads dI.
+  if (!bottoms[0]->grad_live) return;
   layer_->backward(tops[0]->grad, wt_, bottoms[0]->grad);
 }
 
@@ -371,34 +374,47 @@ void MaxPoolNode::forward(bool) {
   const int N = x.n(), CB = x.blocks(), v = x.vlen();
   const int H = x.h(), W = x.w(), P = y.h(), Q = y.w();
 
+  // Per-lane running maxima; the lane loop runs innermost over each tap's
+  // contiguous pixel vector. Taps are visited in the same (r, s) order with
+  // the same strict '>' as a lane-at-a-time walk, so ties and the argmax are
+  // unchanged.
 #pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n) {
     for (int cb = 0; cb < CB; ++cb) {
       for (int oj = 0; oj < P; ++oj)
         for (int oi = 0; oi < Q; ++oi) {
+          float best[kMaxLanes];
+          std::int32_t besti[kMaxLanes];
+          for (int lane = 0; lane < v; ++lane) {
+            best[lane] = -3.4e38f;
+            besti[lane] = -1;
+          }
+          for (int r = 0; r < window_; ++r) {
+            const int ij = oj * stride_ + r - pad_;
+            if (ij < 0 || ij >= H) continue;
+            for (int s = 0; s < window_; ++s) {
+              const int ii = oi * stride_ + s - pad_;
+              if (ii < 0 || ii >= W) continue;
+              const float* px = x.at(n, cb, ij, ii);
+              const std::int32_t idx = ij * W + ii;
+              // Branch-free select (all-ones mask where px wins), so the
+              // compiler vectorizes the lane loop for a runtime v.
+              for (int lane = 0; lane < v; ++lane) {
+                const float val = px[lane], b = best[lane];
+                const std::int32_t m = -static_cast<std::int32_t>(val > b);
+                best[lane] = val > b ? val : b;
+                besti[lane] = (idx & m) | (besti[lane] & ~m);
+              }
+            }
+          }
           float* out = y.at(n, cb, oj, oi);
           std::int32_t* am =
               argmax_.data() +
               (((static_cast<std::size_t>(n) * CB + cb) * P + oj) * Q + oi) *
                   v;
           for (int lane = 0; lane < v; ++lane) {
-            float best = -3.4e38f;
-            std::int32_t besti = -1;
-            for (int r = 0; r < window_; ++r) {
-              const int ij = oj * stride_ + r - pad_;
-              if (ij < 0 || ij >= H) continue;
-              for (int s = 0; s < window_; ++s) {
-                const int ii = oi * stride_ + s - pad_;
-                if (ii < 0 || ii >= W) continue;
-                const float val = *(x.at(n, cb, ij, ii) + lane);
-                if (val > best) {
-                  best = val;
-                  besti = ij * W + ii;
-                }
-              }
-            }
-            out[lane] = besti >= 0 ? best : 0.0f;
-            am[lane] = besti;
+            out[lane] = besti[lane] >= 0 ? best[lane] : 0.0f;
+            am[lane] = besti[lane];
           }
         }
     }
@@ -408,13 +424,15 @@ void MaxPoolNode::forward(bool) {
 void MaxPoolNode::backward() {
   const tensor::ActTensor& dy = tops[0]->grad;
   tensor::ActTensor& dx = bottoms[0]->grad;
-  dx.zero();
   const int N = dy.n(), CB = dy.blocks(), v = dy.vlen();
   const int P = dy.h(), Q = dy.w(), W = dx.w();
 
+  // Every argmax of item (n, cb) lies in dx plane (n, cb): each item clears
+  // and scatters into its own plane.
 #pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n) {
     for (int cb = 0; cb < CB; ++cb) {
+      dx.zero_plane(n, cb);
       for (int oj = 0; oj < P; ++oj)
         for (int oi = 0; oi < Q; ++oi) {
           const float* g = dy.at(n, cb, oj, oi);
@@ -497,32 +515,43 @@ void InnerProductNode::setup(int vlen, int threads) {
   bias_.assign(out_k_, 0.0f);
   dbias_.assign(out_k_, 0.0f);
   vbias_.assign(out_k_, 0.0f);
+  const std::size_t n = static_cast<std::size_t>(tops[0]->shape.n);
+  x_rows_.assign(n * in_c_, 0.0f);
+  dx_rows_.assign(n * in_c_, 0.0f);
+  y_rows_.assign(n * out_k_, 0.0f);
   std::mt19937 rng(std::hash<std::string>{}(spec_.name) & 0x7fffffff);
   std::normal_distribution<float> dist(
       0.0f, std::sqrt(1.0f / static_cast<float>(in_c_)));
   for (auto& w : wt_) w = dist(rng);
 }
 
+// The InnerProduct loops run on dense [N][C] / [N][K] copies of the 1x1
+// pixel rows, so the inner loops are unit-stride. Each output element keeps
+// its accumulation order: y and dW ascend in c and n as before, and dx, now
+// accumulated k-outer into a per-n row, still adds in ascending k.
+
 void InnerProductNode::forward(bool) {
-  const tensor::ActTensor& x = bottoms[0]->act;
-  tensor::ActTensor& y = tops[0]->act;
-  const int N = x.n();
+  const int N = bottoms[0]->act.n();
+  tensor::blocked_to_nchw(bottoms[0]->act, x_rows_.data());
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (int n = 0; n < N; ++n) {
+    const float* x = x_rows_.data() + static_cast<std::size_t>(n) * in_c_;
+    float* y = y_rows_.data() + static_cast<std::size_t>(n) * out_k_;
     for (int k = 0; k < out_k_; ++k) {
       float acc = bias_[k];
       const float* w = wt_.data() + static_cast<std::size_t>(k) * in_c_;
-      for (int c = 0; c < in_c_; ++c) acc += w[c] * x.el(n, c, 0, 0);
-      y.el(n, k, 0, 0) = acc;
+      for (int c = 0; c < in_c_; ++c) acc += w[c] * x[c];
+      y[k] = acc;
     }
   }
+  tensor::nchw_to_blocked(y_rows_.data(), tops[0]->act);
 }
 
 void InnerProductNode::backward() {
-  const tensor::ActTensor& x = bottoms[0]->act;
-  const tensor::ActTensor& dy = tops[0]->grad;
-  tensor::ActTensor& dx = bottoms[0]->grad;
-  const int N = x.n();
+  const int N = bottoms[0]->act.n();
+  tensor::blocked_to_nchw(bottoms[0]->act, x_rows_.data());
+  tensor::blocked_to_nchw(tops[0]->grad, y_rows_.data());  // dy
+  const float* dy = y_rows_.data();
   // Each thread owns whole dW rows; every element still accumulates over n
   // in ascending order.
 #pragma omp parallel for num_threads(threads_) schedule(static)
@@ -531,22 +560,24 @@ void InnerProductNode::backward() {
     std::fill(dw, dw + in_c_, 0.0f);
     float db = 0.0f;
     for (int n = 0; n < N; ++n) {
-      const float g = dy.el(n, k, 0, 0);
+      const float g = dy[static_cast<std::size_t>(n) * out_k_ + k];
+      const float* x = x_rows_.data() + static_cast<std::size_t>(n) * in_c_;
       db += g;
-      for (int c = 0; c < in_c_; ++c) dw[c] += g * x.el(n, c, 0, 0);
+      for (int c = 0; c < in_c_; ++c) dw[c] += g * x[c];
     }
     dbias_[k] = db;
   }
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (int n = 0; n < N; ++n) {
-    for (int c = 0; c < in_c_; ++c) {
-      float acc = 0.0f;
-      for (int k = 0; k < out_k_; ++k)
-        acc += dy.el(n, k, 0, 0) *
-               wt_[static_cast<std::size_t>(k) * in_c_ + c];
-      dx.el(n, c, 0, 0) = acc;
+    float* dx = dx_rows_.data() + static_cast<std::size_t>(n) * in_c_;
+    std::fill(dx, dx + in_c_, 0.0f);
+    for (int k = 0; k < out_k_; ++k) {
+      const float g = dy[static_cast<std::size_t>(n) * out_k_ + k];
+      const float* w = wt_.data() + static_cast<std::size_t>(k) * in_c_;
+      for (int c = 0; c < in_c_; ++c) dx[c] += g * w[c];
     }
   }
+  tensor::nchw_to_blocked(dx_rows_.data(), bottoms[0]->grad);
 }
 
 void InnerProductNode::apply_update(const Solver& s) {

@@ -31,6 +31,11 @@ struct Port {
   tensor::ActTensor grad;
   class Node* producer = nullptr;
   class Node* consumer = nullptr;
+  /// Whether anything reads `grad` (set once by the Graph at build time): a
+  /// port is live iff its producer owns parameters or has a live bottom.
+  /// Gradient flowing into a dead port never reaches a parameter, so
+  /// backward may skip writing it (the ETG "eliminate" stage, Section II-L).
+  bool grad_live = true;
 
   void allocate(int vlen) {
     act = tensor::ActTensor(shape.n, shape.c, shape.h, shape.w, shape.pad_h,
@@ -209,6 +214,8 @@ class InnerProductNode final : public Node {
   int in_c_ = 0, out_k_ = 0;
   std::vector<float> wt_, dwt_, vwt_;    ///< [K][C]
   std::vector<float> bias_, dbias_, vbias_;
+  /// Dense copies of the 1x1 pixel rows: x and dx are [N][C], y / dy [N][K].
+  std::vector<float> x_rows_, dx_rows_, y_rows_;
 };
 
 class SoftmaxLossNode final : public Node {

@@ -86,8 +86,12 @@ class ActTensor {
   }
 
   void zero() { buf_.zero(); }
-  /// Re-zero only the halo region (needed after in-place writes touch it).
+  /// Zero the whole padded (n, cb) plane, halo included.
+  void zero_plane(int n, int cb);
+  /// Re-zero only the halo region (needed after in-place writes touch it),
+  /// of every plane or of the single (n, cb) plane.
   void zero_halo();
+  void zero_halo(int n, int cb);
 
  private:
   AlignedBuffer<float> buf_;

@@ -62,18 +62,22 @@ void kcrs_to_blocked_bwd(const float* src, int K, int C, WtTensor& dst) {
         }
 }
 
-void blocked_fwd_to_bwd(const WtTensor& fwd, WtTensor& bwd) {
-  const int Kb = fwd.outer(), Cb = fwd.inner();
+void blocked_fwd_to_bwd(const WtTensor& fwd, WtTensor& bwd,
+                        std::int64_t block_begin, std::int64_t block_end) {
+  const int Kb = fwd.outer();
   const int R = fwd.r(), S = fwd.s(), v = fwd.vlen();
-  bwd.zero();
-  for (int kb = 0; kb < Kb; ++kb)
-    for (int cb = 0; cb < Cb; ++cb)
-      for (int r = 0; r < R; ++r)
-        for (int s = 0; s < S; ++s)
-          for (int c = 0; c < v; ++c)
-            for (int k = 0; k < v; ++k)
-              bwd.el(cb, kb, R - 1 - r, S - 1 - s, k, c) =
-                  fwd.el(kb, cb, r, s, c, k);
+  for (std::int64_t blk = block_begin; blk < block_end; ++blk) {
+    const int cb = static_cast<int>(blk / Kb);
+    const int kb = static_cast<int>(blk % Kb);
+    for (int r = 0; r < R; ++r)
+      for (int s = 0; s < S; ++s) {
+        // Destination rows index k, lanes index c: a plain v x v transpose.
+        const float* src = fwd.at(kb, cb, R - 1 - r, S - 1 - s);
+        float* dst = bwd.at(cb, kb, r, s);
+        for (int k = 0; k < v; ++k)
+          for (int c = 0; c < v; ++c) dst[k * v + c] = src[c * v + k];
+      }
+  }
 }
 
 }  // namespace xconv::tensor

@@ -4,6 +4,8 @@
 // Section II-I.
 #pragma once
 
+#include <cstdint>
+
 #include "core/conv_params.hpp"
 #include "tensor/layout.hpp"
 
@@ -31,8 +33,13 @@ void blocked_fwd_to_kcrs(const WtTensor& src, int K, int C, float* dst);
 void kcrs_to_blocked_bwd(const float* src, int K, int C, WtTensor& dst);
 
 /// Forward blocked form -> backward-dual blocked form directly (used when the
-/// master copy of the weights lives in blocked layout).
-void blocked_fwd_to_bwd(const WtTensor& fwd, WtTensor& bwd);
+/// master copy of the weights lives in blocked layout). Writes the destination
+/// blocks [block_begin, block_end) of the flattened Cb x Kb index
+/// (cb * Kb + kb); each v x v block is the transposed copy of its flipped
+/// source tap. Every element of a written block is stored exactly once, so
+/// `bwd` needs no clearing and disjoint ranges may run concurrently.
+void blocked_fwd_to_bwd(const WtTensor& fwd, WtTensor& bwd,
+                        std::int64_t block_begin, std::int64_t block_end);
 
 // ---- Gradient-weight form -------------------------------------------------
 

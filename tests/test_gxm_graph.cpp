@@ -139,3 +139,80 @@ TEST(GraphRun, HaloConflictResolvedAcrossConsumers) {
   EXPECT_TRUE(std::isfinite(g.loss()));
   EXPECT_GT(g.loss(), 0.0f);
 }
+
+// ETG elimination: a port's gradient is live iff it reaches a parameter.
+namespace {
+bool port_live(Graph& g, const std::string& node, int bottom = 0) {
+  return g.find(node)->bottoms[bottom]->grad_live;
+}
+}  // namespace
+
+TEST(GraphEliminate, InputFedConvSkipsDeadBwdData) {
+  Graph g(gxm::parse_topology(R"(
+layer { name: "data" type: "Input" top: "data" minibatch: 2 channels: 16 height: 6 width: 6 classes: 3 }
+layer { name: "conv" type: "Convolution" bottom: "data" top: "conv" K: 16 R: 3 }
+layer { name: "gap" type: "AvgPool" bottom: "conv" top: "gap" global: 1 }
+layer { name: "fc" type: "InnerProduct" bottom: "gap" top: "fc" K: 3 }
+layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
+)"),
+          quick_opts());
+  EXPECT_FALSE(port_live(g, "conv"));  // Input owns no parameters
+  EXPECT_TRUE(port_live(g, "gap"));    // produced by the conv
+  EXPECT_TRUE(port_live(g, "fc"));
+  // The conv's task stays in the schedule: its weight gradient is needed.
+  EXPECT_EQ(g.bwd_schedule().size(), g.n_nodes());
+  g.train_step({});
+  g.train_step({});
+  const tensor::ActTensor& din = g.find("conv")->bottoms[0]->grad;
+  int nonzero = 0;
+  for (std::size_t i = 0; i < din.size(); ++i)
+    if (din.data()[i] != 0.0f) ++nonzero;
+  EXPECT_EQ(nonzero, 0);
+  std::vector<float> grads(g.grad_elems());
+  g.export_grads(grads.data());
+  double conv_dw = 0.0;
+  for (std::size_t i = 0; i < g.find("conv")->param_count(); ++i)
+    conv_dw += std::abs(grads[i]);
+  EXPECT_GT(conv_dw, 0.0);
+}
+
+TEST(GraphEliminate, SplitAfterInputIsDead) {
+  Graph g(gxm::parse_topology(R"(
+layer { name: "data" type: "Input" top: "data" minibatch: 1 channels: 16 height: 4 width: 4 classes: 2 }
+layer { name: "a" type: "Convolution" bottom: "data" top: "a" K: 16 R: 1 pad: 0 }
+layer { name: "b" type: "Convolution" bottom: "data" top: "b" K: 16 R: 3 }
+layer { name: "add" type: "Eltwise" bottom: "a" bottom: "b" top: "add" }
+layer { name: "gap" type: "AvgPool" bottom: "add" top: "gap" global: 1 }
+layer { name: "fc" type: "InnerProduct" bottom: "gap" top: "fc" K: 2 }
+layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
+)"),
+          quick_opts());
+  ASSERT_NE(g.find("data_split"), nullptr);
+  EXPECT_FALSE(port_live(g, "data_split"));
+  EXPECT_FALSE(port_live(g, "a"));
+  EXPECT_FALSE(port_live(g, "b"));
+  EXPECT_TRUE(port_live(g, "add", 0));
+  EXPECT_TRUE(port_live(g, "add", 1));
+}
+
+TEST(GraphEliminate, ConvBnConvChainIsLive) {
+  Graph g(gxm::parse_topology(R"(
+layer { name: "data" type: "Input" top: "data" minibatch: 1 channels: 16 height: 4 width: 4 classes: 2 }
+layer { name: "c1" type: "Convolution" bottom: "data" top: "c1" K: 16 R: 3 }
+layer { name: "bn" type: "BatchNorm" bottom: "c1" top: "bn" relu: 1 }
+layer { name: "c2" type: "Convolution" bottom: "bn" top: "c2" K: 16 R: 3 }
+layer { name: "gap" type: "AvgPool" bottom: "c2" top: "gap" global: 1 }
+layer { name: "fc" type: "InnerProduct" bottom: "gap" top: "fc" K: 2 }
+layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
+)"),
+          quick_opts());
+  EXPECT_FALSE(port_live(g, "c1"));
+  EXPECT_TRUE(port_live(g, "bn"));
+  EXPECT_TRUE(port_live(g, "c2"));
+  g.train_step({});
+  // c2's bwd-data ran: BN's output gradient is not all zero.
+  const tensor::ActTensor& dbn = g.find("c2")->bottoms[0]->grad;
+  double mag = 0.0;
+  for (std::size_t i = 0; i < dbn.size(); ++i) mag += std::abs(dbn.data()[i]);
+  EXPECT_GT(mag, 0.0);
+}

@@ -488,3 +488,171 @@ TEST(Nodes, ResNetMiniBitwiseIdenticalAcrossThreadCounts) {
   EXPECT_EQ(count_bit_diffs(a.losses, b.losses), 0);
   EXPECT_EQ(count_bit_diffs(a.params, b.params), 0);
 }
+
+// ---------------------------------------------------------------------------
+// MaxPool and InnerProduct: the row-walking loops are bitwise equal to the
+// element-at-a-time loops they replaced (copied below).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct PoolRef {
+  std::vector<float> y, dx;
+};
+
+/// Lane-at-a-time max pooling forward (value + argmax per output element)
+/// followed by the argmax scatter of dy into a cleared dx.
+PoolRef maxpool_reference(const tensor::ActTensor& x,
+                          const tensor::ActTensor& dy, int window, int stride,
+                          int pad) {
+  const int N = x.n(), CB = x.blocks(), v = x.vlen();
+  const int H = x.h(), W = x.w(), P = dy.h(), Q = dy.w();
+  PoolRef ref;
+  ref.y.assign(static_cast<std::size_t>(N) * CB * P * Q * v, 0.0f);
+  ref.dx.assign(static_cast<std::size_t>(N) * CB * H * W * v, 0.0f);
+  std::vector<std::int32_t> argmax(ref.y.size(), -1);
+  for (int n = 0; n < N; ++n)
+    for (int cb = 0; cb < CB; ++cb)
+      for (int oj = 0; oj < P; ++oj)
+        for (int oi = 0; oi < Q; ++oi) {
+          const std::size_t o =
+              (((static_cast<std::size_t>(n) * CB + cb) * P + oj) * Q + oi) *
+              v;
+          for (int lane = 0; lane < v; ++lane) {
+            float best = -3.4e38f;
+            std::int32_t besti = -1;
+            for (int r = 0; r < window; ++r) {
+              const int ij = oj * stride + r - pad;
+              if (ij < 0 || ij >= H) continue;
+              for (int s = 0; s < window; ++s) {
+                const int ii = oi * stride + s - pad;
+                if (ii < 0 || ii >= W) continue;
+                const float val = *(x.at(n, cb, ij, ii) + lane);
+                if (val > best) {
+                  best = val;
+                  besti = ij * W + ii;
+                }
+              }
+            }
+            ref.y[o + lane] = besti >= 0 ? best : 0.0f;
+            argmax[o + lane] = besti;
+          }
+        }
+  for (int n = 0; n < N; ++n)
+    for (int cb = 0; cb < CB; ++cb)
+      for (int oj = 0; oj < P; ++oj)
+        for (int oi = 0; oi < Q; ++oi) {
+          const std::size_t o =
+              (((static_cast<std::size_t>(n) * CB + cb) * P + oj) * Q + oi) *
+              v;
+          const float* g = dy.at(n, cb, oj, oi);
+          for (int lane = 0; lane < v; ++lane) {
+            const std::int32_t am = argmax[o + lane];
+            if (am < 0) continue;
+            ref.dx[(((static_cast<std::size_t>(n) * CB + cb) * H + am / W) *
+                        W +
+                    am % W) *
+                       v +
+                   lane] += g[lane];
+          }
+        }
+  return ref;
+}
+
+struct FcRef {
+  std::vector<float> y, dx, grads;  ///< grads: dW [K][C] then dbias [K]
+};
+
+/// InnerProduct through el(): y = b + W x, dW/db accumulated n-ascending,
+/// dx accumulated k-ascending per element.
+FcRef fc_reference(const tensor::ActTensor& x, const tensor::ActTensor& dy,
+                   const std::vector<float>& params, int C, int K) {
+  const int N = x.n(), CB = x.blocks(), KB = dy.blocks(), v = x.vlen();
+  const float* wt = params.data();
+  const float* bias = params.data() + static_cast<std::size_t>(K) * C;
+  FcRef ref;
+  ref.y.assign(static_cast<std::size_t>(N) * KB * v, 0.0f);
+  ref.dx.assign(static_cast<std::size_t>(N) * CB * v, 0.0f);
+  ref.grads.assign(static_cast<std::size_t>(K) * C + K, 0.0f);
+  for (int n = 0; n < N; ++n)
+    for (int k = 0; k < K; ++k) {
+      float acc = bias[k];
+      for (int c = 0; c < C; ++c)
+        acc += wt[static_cast<std::size_t>(k) * C + c] * x.el(n, c, 0, 0);
+      ref.y[static_cast<std::size_t>(n) * KB * v + k] = acc;
+    }
+  for (int k = 0; k < K; ++k) {
+    float* dw = ref.grads.data() + static_cast<std::size_t>(k) * C;
+    float db = 0.0f;
+    for (int n = 0; n < N; ++n) {
+      const float g = dy.el(n, k, 0, 0);
+      db += g;
+      for (int c = 0; c < C; ++c) dw[c] += g * x.el(n, c, 0, 0);
+    }
+    ref.grads[static_cast<std::size_t>(K) * C + k] = db;
+  }
+  for (int n = 0; n < N; ++n)
+    for (int c = 0; c < C; ++c) {
+      float acc = 0.0f;
+      for (int k = 0; k < K; ++k)
+        acc += dy.el(n, k, 0, 0) * wt[static_cast<std::size_t>(k) * C + c];
+      ref.dx[static_cast<std::size_t>(n) * CB * v + c] = acc;
+    }
+  return ref;
+}
+
+}  // namespace
+
+TEST(Nodes, MaxPoolAndInnerProductBitwiseEqualElementLoops) {
+  // vlen 0 (the ISA's width) pools a conv output whose fused ReLU makes many
+  // windows tie at zero, exercising the strict '>' (first tap wins); vlen 8
+  // pools the raw input (conv layers only run at the ISA's width). Pad 1
+  // exercises the border skips.
+  for (const int vlen : {0, 8}) {
+    SCOPED_TRACE("vlen " + std::to_string(vlen));
+    GraphOptions o;
+    o.vlen = vlen;
+    o.threads = 3;
+    const std::string conv =
+        vlen == 0 ? "layer { name: \"conv\" type: \"Convolution\" bottom: "
+                    "\"data\" top: \"conv\" K: 40 R: 3 relu: 1 }\n"
+                  : "";
+    const std::string channels = vlen == 0 ? "24" : "40";
+    Graph g(gxm::parse_topology(
+                "layer { name: \"data\" type: \"Input\" top: \"data\" "
+                "minibatch: 3 channels: " +
+                channels + " height: 9 width: 7 classes: 5 }\n" + conv +
+                "layer { name: \"pool\" type: \"MaxPool\" bottom: \"" +
+                (vlen == 0 ? "conv" : "data") +
+                "\" top: \"pool\" window: 3 stride: 2 pad: 1 }\n"
+                "layer { name: \"gap\" type: \"AvgPool\" bottom: \"pool\" "
+                "top: \"gap\" global: 1 }\n"
+                "layer { name: \"fc\" type: \"InnerProduct\" bottom: "
+                "\"gap\" top: \"fc\" K: 21 }\n"
+                "layer { name: \"loss\" type: \"SoftmaxLoss\" bottom: "
+                "\"fc\" top: \"loss\" }\n"),
+            o);
+    gxm::Solver s;
+    s.lr = 0.1f;
+    g.train_step(s);  // move the fc weights and bias off their init
+    g.forward(true);
+    g.backward_compute_grads();
+
+    gxm::Node* pool = g.find("pool");
+    const PoolRef pr =
+        maxpool_reference(pool->bottoms[0]->act, pool->tops[0]->grad, 3, 2, 1);
+    EXPECT_EQ(count_bit_diffs(pool->tops[0]->act, pr.y), 0) << "maxpool fwd";
+    EXPECT_EQ(count_bit_diffs(pool->bottoms[0]->grad, pr.dx), 0)
+        << "maxpool bwd";
+
+    gxm::Node* fc = g.find("fc");
+    std::vector<float> params(fc->param_count()), grads(fc->param_count());
+    fc->export_params(params.data());
+    fc->export_grads(grads.data());
+    const FcRef fr =
+        fc_reference(fc->bottoms[0]->act, fc->tops[0]->grad, params, 40, 21);
+    EXPECT_EQ(count_bit_diffs(fc->tops[0]->act, fr.y), 0) << "fc fwd";
+    EXPECT_EQ(count_bit_diffs(fc->bottoms[0]->grad, fr.dx), 0) << "fc dx";
+    EXPECT_EQ(count_bit_diffs(grads, fr.grads), 0) << "fc dW/db";
+  }
+}

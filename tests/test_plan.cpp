@@ -149,7 +149,7 @@ Decisions decide(const core::ConvParams& p, int threads, bool fwd_only) {
     d.bwd1x1_rbq = pick_rb(Q, kMaxAcc);
   } else {
     d.bwd_algo = BwdAlgo::gemm_fallback;
-    d.bwd_gemm_qc = pick_rb(Q, 28);
+    d.bwd_gemm_qc = pick_rb(Q, std::min(kMaxAcc, 28));
   }
 
   // setup_update (conv_update.cpp)
@@ -383,6 +383,24 @@ TEST(PlanCrossover, BackwardAlgorithmShapeForced) {
       core::make_conv(2, 16, 16, 14, 14, 3, 3, 2), req);
   EXPECT_EQ(pg.bwd_algo, BwdAlgo::gemm_fallback);
   EXPECT_EQ(pg.bwd_gemm_qc, 7);  // pick(Q=7, kBwdGemmMaxCols=28) = 7
+}
+
+TEST(PlanCrossover, BackwardGemmChunkFitsIsaRegisterBudget) {
+  // Q = 28: AVX-512 takes the whole row (budget 28); AVX2 has 12
+  // accumulators, so the chunk is capped there (pick(28, 12) = 7, a divisor).
+  const auto p = core::make_conv(1, 16, 16, 56, 56, 3, 3, 2);
+  PlanRequest req;
+  EXPECT_EQ(core::plan_default(p, req).bwd_gemm_qc, 28);
+  req.isa = platform::Isa::avx2;
+  const ConvPlan avx2 = core::plan_default(p, req);
+  EXPECT_EQ(avx2.bwd_algo, BwdAlgo::gemm_fallback);
+  EXPECT_EQ(avx2.bwd_gemm_qc, 7);
+  EXPECT_NO_THROW(avx2.validate(p, PlanPass::train));
+  // A plan carrying the AVX-512 chunk for AVX2 (e.g. a stale cache entry)
+  // is rejected instead of failing later in the GEMM generator.
+  ConvPlan stale = avx2;
+  stale.bwd_gemm_qc = 28;
+  EXPECT_THROW(stale.validate(p, PlanPass::train), std::invalid_argument);
 }
 
 TEST(PlanCrossover, UpdatePixelBlocking) {
@@ -820,18 +838,20 @@ TEST(PlanExplicit, LayerHonorsExplicitPlanBitwise) {
   core::ConvOptions o;
   o.threads = 1;
   core::ConvLayer def(p, o);
-  ASSERT_EQ(def.fwd_rbq(), 14);
+  // Q = 14 fits the AVX-512 accumulator budget (28 / 2); AVX2's 12 give 7.
+  ASSERT_EQ(def.fwd_rbq(), def.plan().isa == platform::Isa::avx2 ? 7 : 14);
 
-  // Same decisions, different blocking: rbq 7 instead of 14. Forward
-  // register blocking partitions the output pixels without changing any
-  // accumulation order, so results are bit-identical across plans.
+  // Same decisions, different blocking: half the default rbq (7 instead of
+  // 14 on AVX-512). Forward register blocking partitions the output pixels
+  // without changing any accumulation order, so results are bit-identical
+  // across plans.
   ConvPlan alt = def.plan();
-  alt.rbq = 7;
+  alt.rbq = def.fwd_rbq() / 2;
   alt.rbp = 1;
   core::ConvOptions oe = o;
   oe.plan = alt;
   core::ConvLayer exp(p, oe);
-  EXPECT_EQ(exp.fwd_rbq(), 7);
+  EXPECT_EQ(exp.fwd_rbq(), alt.rbq);
   EXPECT_EQ(exp.plan(), alt);
   expect_bitwise(layer_forward(def, pr),
                           layer_forward(exp, pr),

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "tensor/buffer.hpp"
@@ -152,7 +156,7 @@ TEST(Transform, BlockedFwdToBwdMatchesDirectTransform) {
   tensor::kcrs_to_blocked_fwd(src.data(), K, C, fwd);
   tensor::WtTensor bwd_a(3, 2, R, S, v), bwd_b(3, 2, R, S, v);
   tensor::kcrs_to_blocked_bwd(src.data(), K, C, bwd_a);
-  tensor::blocked_fwd_to_bwd(fwd, bwd_b);
+  tensor::blocked_fwd_to_bwd(fwd, bwd_b, 0, 3 * 2);
   ASSERT_EQ(bwd_a.size(), bwd_b.size());
   for (std::size_t i = 0; i < bwd_a.size(); ++i)
     ASSERT_EQ(bwd_a.data()[i], bwd_b.data()[i]) << i;
@@ -164,10 +168,67 @@ TEST(Transform, DoubleDualIsIdentity) {
   const auto src = random_vec(1ull * K * C * R * S, 7);
   tensor::WtTensor fwd(2, 2, R, S, v), bwd(2, 2, R, S, v), twice(2, 2, R, S, v);
   tensor::kcrs_to_blocked_fwd(src.data(), K, C, fwd);
-  tensor::blocked_fwd_to_bwd(fwd, bwd);
-  tensor::blocked_fwd_to_bwd(bwd, twice);
+  tensor::blocked_fwd_to_bwd(fwd, bwd, 0, 2 * 2);
+  tensor::blocked_fwd_to_bwd(bwd, twice, 0, 2 * 2);
   for (std::size_t i = 0; i < fwd.size(); ++i)
     ASSERT_EQ(fwd.data()[i], twice.data()[i]) << i;
+}
+
+namespace {
+/// The serial element-wise duality transform the ranged one replaced: zero
+/// the destination, then write every element through el().
+void fwd_to_bwd_reference(const tensor::WtTensor& fwd, tensor::WtTensor& bwd) {
+  const int Kb = fwd.outer(), Cb = fwd.inner();
+  const int R = fwd.r(), S = fwd.s(), v = fwd.vlen();
+  bwd.zero();
+  for (int kb = 0; kb < Kb; ++kb)
+    for (int cb = 0; cb < Cb; ++cb)
+      for (int r = 0; r < R; ++r)
+        for (int s = 0; s < S; ++s)
+          for (int c = 0; c < v; ++c)
+            for (int k = 0; k < v; ++k)
+              bwd.el(cb, kb, R - 1 - r, S - 1 - s, k, c) =
+                  fwd.el(kb, cb, r, s, c, k);
+}
+
+std::uint32_t float_bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+}  // namespace
+
+TEST(Transform, RangedFwdToBwdIsBitwiseTheSerialTransform) {
+  // (R, S) x (Kb, Cb) x vlen, with Kb != Cb so a swapped block index shows.
+  // The destination starts as NaN: any element the ranges miss stays NaN and
+  // fails the bitwise comparison, proving coverage without a clear.
+  struct Shape {
+    int r, s;
+  };
+  for (const Shape rs : {Shape{1, 1}, Shape{3, 3}, Shape{7, 7}, Shape{1, 7},
+                         Shape{7, 1}})
+    for (const int v : {8, 16}) {
+      const int Kb = 3, Cb = 5;
+      SCOPED_TRACE("R=" + std::to_string(rs.r) + " S=" + std::to_string(rs.s) +
+                   " v=" + std::to_string(v));
+      tensor::WtTensor fwd(Kb, Cb, rs.r, rs.s, v);
+      const auto vals = random_vec(fwd.size(), 11 + rs.r * 8 + rs.s + v);
+      std::copy(vals.begin(), vals.end(), fwd.data());
+      tensor::WtTensor want(Cb, Kb, rs.r, rs.s, v), got(Cb, Kb, rs.r, rs.s, v);
+      fwd_to_bwd_reference(fwd, want);
+      std::fill(got.data(), got.data() + got.size(),
+                std::numeric_limits<float>::quiet_NaN());
+      // Uneven, out-of-order splits of the Cb*Kb = 15 destination blocks,
+      // including an empty range.
+      const std::int64_t cuts[][2] = {{7, 8}, {0, 4}, {11, 15}, {4, 4},
+                                      {8, 11}, {4, 7}};
+      for (const auto& c : cuts)
+        tensor::blocked_fwd_to_bwd(fwd, got, c[0], c[1]);
+      int diffs = 0;
+      for (std::size_t i = 0; i < want.size(); ++i)
+        if (float_bits(want.data()[i]) != float_bits(got.data()[i])) ++diffs;
+      EXPECT_EQ(diffs, 0);
+    }
 }
 
 TEST(Norms, ExactMatchIsZero) {
