@@ -51,7 +51,6 @@ const char* backend_pref_name(kernels::BackendPref b) {
   switch (b) {
     case kernels::BackendPref::auto_pick: return "auto";
     case kernels::BackendPref::jit: return "jit";
-    case kernels::BackendPref::compiled: return "compiled";
     case kernels::BackendPref::scalar: return "scalar";
   }
   return "unknown";
@@ -59,8 +58,8 @@ const char* backend_pref_name(kernels::BackendPref b) {
 
 bool backend_pref_from_name(const std::string& s, kernels::BackendPref* out) {
   using kernels::BackendPref;
-  for (BackendPref b : {BackendPref::auto_pick, BackendPref::jit,
-                        BackendPref::compiled, BackendPref::scalar}) {
+  for (BackendPref b :
+       {BackendPref::auto_pick, BackendPref::jit, BackendPref::scalar}) {
     if (s == backend_pref_name(b)) {
       *out = b;
       return true;

@@ -116,6 +116,12 @@ void ConvNode::setup(int vlen, int threads) {
   opt.out_halo_w = tops[0]->shape.pad_w;
   if (spec_.geti("relu", 0) != 0) opt.fuse = core::FusedOp::relu;
   layer_ = std::make_unique<core::ConvLayer>(p, opt);
+  // The layer blocks at its ISA's width; a graph at another width would only
+  // fail at the first forward, as an input geometry mismatch.
+  if (layer_->vlen() != vlen)
+    node_fail(*this, "graph vlen " + std::to_string(vlen) +
+                         " differs from the conv layer's vlen " +
+                         std::to_string(layer_->vlen()));
 
   wt_ = layer_->make_weights();
   dwt_ = layer_->make_weights();

@@ -142,99 +142,47 @@ class JitCodecKernel final : public CodecMicrokernel {
   std::unique_ptr<jit::CodecKernel> k_;
 };
 
-bool isa_is_simd(platform::Isa isa) {
-  return isa == platform::Isa::avx2 || isa == platform::Isa::avx512 ||
-         isa == platform::Isa::avx512_vnni;
-}
-
 bool host_supports(platform::Isa isa) {
   return static_cast<int>(platform::max_isa()) >= static_cast<int>(isa);
 }
 
+// Conv/upd/reduce kernels are generated for avx2 and up; codec kernels only
+// for avx512 and up (codec validate() rejects avx2).
+bool simd_ok(platform::Isa isa, platform::Isa min_isa = platform::Isa::avx2) {
+  return static_cast<int>(isa) >= static_cast<int>(min_isa) &&
+         host_supports(isa);
+}
+
+// JIT when forced, or under auto_pick when the ISA allows it; scalar
+// otherwise. Forcing JIT on an ISA it cannot target throws.
+bool use_jit(BackendPref pref, bool simd) {
+  if (pref == BackendPref::jit && !simd)
+    throw std::invalid_argument(
+        "JIT backend needs a SIMD ISA the host supports");
+  return pref == BackendPref::jit || (pref == BackendPref::auto_pick && simd);
+}
+
 std::unique_ptr<ConvMicrokernel> build_conv(const jit::ConvKernelDesc& d,
                                             BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return std::make_unique<JitConvKernel>(d);
-    case BackendPref::compiled: {
-      std::unique_ptr<ConvMicrokernel> k;
-#if XCONV_BUILD_AVX512
-      if (d.vlen == 16 && simd_ok) k = make_conv_avx512(d);
-#endif
-#if XCONV_BUILD_AVX2
-      if (!k && d.vlen == 8 && simd_ok) k = make_conv_avx2(d);
-#endif
-      if (!k) k = make_conv_scalar(d);
-      return k;
-    }
-    case BackendPref::scalar:
-      return make_conv_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return std::make_unique<JitConvKernel>(d);
-  return build_conv(d, BackendPref::compiled);
+  return use_jit(pref, simd_ok(d.isa)) ? make_conv_jit(d) : make_conv_scalar(d);
 }
 
 std::unique_ptr<UpdMicrokernel> build_upd(const jit::UpdKernelDesc& d,
                                           BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return std::make_unique<JitUpdKernel>(d);
-    case BackendPref::compiled:
-    case BackendPref::scalar:
-      return make_upd_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return std::make_unique<JitUpdKernel>(d);
-  return make_upd_scalar(d);
+  return use_jit(pref, simd_ok(d.isa)) ? make_upd_jit(d) : make_upd_scalar(d);
 }
 
 std::unique_ptr<ReduceMicrokernel> build_reduce(const jit::ReduceKernelDesc& d,
                                                 BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return make_reduce_jit(d);
-    case BackendPref::compiled:
-    case BackendPref::scalar:
-      return make_reduce_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return make_reduce_jit(d);
-  return make_reduce_scalar(d);
+  return use_jit(pref, simd_ok(d.isa)) ? make_reduce_jit(d)
+                                       : make_reduce_scalar(d);
 }
 
 std::unique_ptr<CodecMicrokernel> build_codec(const jit::CodecKernelDesc& d,
                                               BackendPref pref) {
-  // Codec generation is avx512-only (validate() rejects avx2), so the
-  // SIMD gate is stricter than for conv/upd.
-  const bool simd_ok = (d.isa == platform::Isa::avx512 ||
-                        d.isa == platform::Isa::avx512_vnni) &&
-                       host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return make_codec_jit(d);
-    case BackendPref::compiled:
-    case BackendPref::scalar:
-      return make_codec_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return make_codec_jit(d);
-  return make_codec_scalar(d);
+  return use_jit(pref, simd_ok(d.isa, platform::Isa::avx512))
+             ? make_codec_jit(d)
+             : make_codec_scalar(d);
 }
 
 }  // namespace
@@ -242,7 +190,6 @@ std::unique_ptr<CodecMicrokernel> build_codec(const jit::CodecKernelDesc& d,
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::jit: return "jit";
-    case Backend::compiled: return "compiled";
     case Backend::scalar: return "scalar";
   }
   return "unknown";
@@ -253,7 +200,6 @@ const char* backend_name(Backend b) {
 BackendPref backend_pref_from_env() {
   if (const char* v = platform::env::get("XCONV_BACKEND")) {
     if (std::strcmp(v, "jit") == 0) return BackendPref::jit;
-    if (std::strcmp(v, "compiled") == 0) return BackendPref::compiled;
     if (std::strcmp(v, "scalar") == 0) return BackendPref::scalar;
   }
   return BackendPref::auto_pick;

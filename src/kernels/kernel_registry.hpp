@@ -23,9 +23,9 @@
 namespace xconv::kernels {
 
 /// Preferred backend resolution: `auto_pick` = JIT when the ISA supports it,
-/// otherwise compiled intrinsics, otherwise scalar. Explicit values force a
-/// family (used by tests and the backend ablation).
-enum class BackendPref { auto_pick, jit, compiled, scalar };
+/// otherwise scalar. Explicit values force a family (used by tests and the
+/// scalar-reference runs).
+enum class BackendPref { auto_pick, jit, scalar };
 
 BackendPref backend_pref_from_env();  ///< honors XCONV_BACKEND
 
@@ -35,7 +35,7 @@ class KernelRegistry {
   static KernelRegistry& instance();
 
   /// Resolve a forward microkernel. For Backend::scalar any vlen is accepted;
-  /// JIT/compiled require the desc's ISA/vlen pairing to be valid.
+  /// JIT requires the desc's ISA/vlen pairing to be valid.
   const ConvMicrokernel* conv(const jit::ConvKernelDesc& desc,
                               BackendPref pref = BackendPref::auto_pick);
 
@@ -85,7 +85,7 @@ class KernelRegistry {
   Stats stats_ XCONV_GUARDED_BY(mu_);
 };
 
-// Backend constructors (exposed for direct use in tests/ablation benches).
+// Backend constructors (exposed for direct use in tests).
 std::unique_ptr<ConvMicrokernel> make_conv_scalar(const jit::ConvKernelDesc&);
 std::unique_ptr<UpdMicrokernel> make_upd_scalar(const jit::UpdKernelDesc&);
 std::unique_ptr<ConvMicrokernel> make_conv_jit(const jit::ConvKernelDesc&);
@@ -97,9 +97,5 @@ std::unique_ptr<ReduceMicrokernel> make_reduce_jit(
 std::unique_ptr<CodecMicrokernel> make_codec_scalar(
     const jit::CodecKernelDesc&);
 std::unique_ptr<CodecMicrokernel> make_codec_jit(const jit::CodecKernelDesc&);
-// Compiled intrinsics backends; return nullptr when the TU was not built for
-// the requested ISA.
-std::unique_ptr<ConvMicrokernel> make_conv_avx512(const jit::ConvKernelDesc&);
-std::unique_ptr<ConvMicrokernel> make_conv_avx2(const jit::ConvKernelDesc&);
 
 }  // namespace xconv::kernels

@@ -212,21 +212,6 @@ class Communicator {
   /// counters_ member note).
   CommStats stats() const;
 
-  // --- deprecated shims (prefer stats()) ----------------------------------
-
-  /// Deprecated shim for stats().bulk_logical_bytes_per_rank.
-  std::size_t last_bytes_per_rank() const {
-    return stats().bulk_logical_bytes_per_rank;
-  }
-  /// Deprecated shim for stats().overlap_logical_bytes_per_rank.
-  std::size_t overlap_bytes_per_rank() const {
-    return stats().overlap_logical_bytes_per_rank;
-  }
-  /// Deprecated shim for stats().wire_bytes_per_rank.
-  std::size_t wire_bytes_per_rank() const {
-    return stats().wire_bytes_per_rank;
-  }
-
   // --- overlapped bucketized allreduce ------------------------------------
 
   /// Install the bucket layout (identical on every rank) and start the

@@ -1,10 +1,12 @@
 // Int16 convolution block kernels (paper Section II-K): int16 x int16
 // products accumulated into int32 lanes (vpdpwssd semantics), flushed into an
 // fp32 accumulator every `flush_interval` channel-pair steps (the restricted
-// accumulation chain). Two ABI-identical implementations: AVX512-VNNI
-// intrinsics (qconv_vnni.cpp, built only when the compiler supports it) and
-// portable scalar (qconv_scalar.cpp) with bit-identical integer arithmetic,
-// so tests can require exact equality between the two.
+// accumulation chain). The forward block runs as a JIT kernel
+// (jit/qconv_kernel_gen.hpp) on AVX512-VNNI hosts; the portable scalar block
+// (qconv_scalar.cpp) is its bitwise reference and the fallback elsewhere.
+// The update block has an AVX512-VNNI intrinsics implementation
+// (qconv_vnni.cpp, built only when the compiler supports it) and a scalar one
+// with bit-identical integer arithmetic, so tests can require exact equality.
 #pragma once
 
 #include <cstdint>
@@ -33,16 +35,8 @@ struct QKernelDesc {
 
 /// out[q][k] (+)= scale * sum int16 products, for q in [0, rbq).
 /// `out` points at the first pixel's fp32 vector (dense, vlen stride).
-using qconv_block_fn = void (*)(const QKernelDesc& d, const std::int16_t* in,
-                                const std::int16_t* wt, float* out,
-                                float scale);
-
 void qconv_block_scalar(const QKernelDesc& d, const std::int16_t* in,
                         const std::int16_t* wt, float* out, float scale);
-
-/// Returns the VNNI implementation, or nullptr when not compiled in / not
-/// supported by the host.
-qconv_block_fn qconv_block_vnni();
 
 /// Weight-update int16 block kernel: dW block (v x v fp32) += pixel pairs.
 /// `dov` is the pair-interleaved dO row (see QConvLayer::update), `inq` the
@@ -61,6 +55,9 @@ using qupd_block_fn = void (*)(const QUpdKernelDesc& d, const std::int16_t* in,
 
 void qupd_block_scalar(const QUpdKernelDesc& d, const std::int16_t* in,
                        const std::int16_t* dov, float* dw, float scale);
+
+/// Returns the VNNI update implementation, or nullptr when not compiled in /
+/// not supported by the host.
 qupd_block_fn qupd_block_vnni();
 
 }  // namespace xconv::quant

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "jit/verify/verifier.hpp"
+#include "platform/cpu.hpp"
 
 namespace xconv::quant {
 
@@ -34,10 +35,10 @@ QConvLayer::QConvLayer(const core::ConvParams& p, int threads, bool use_vnni,
   kb_ = tensor::ceil_div(p_.K, vlen_);
   threads_ = threads > 0 ? threads : omp_get_max_threads();
   if (use_vnni) {
-    vnni_fwd_ = qconv_block_vnni();
     vnni_upd_ = qupd_block_vnni();
-    // The JIT fwd kernel needs AVX512-VNNI too (it emits vpdpwssd).
-    use_jit_ = vnni_fwd_ != nullptr;
+    // The JIT fwd kernel emits vpdpwssd itself: it needs a VNNI host, not
+    // compiler support.
+    use_jit_ = platform::max_isa() == platform::Isa::avx512_vnni;
   }
 }
 
@@ -64,7 +65,6 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
   const int rbq = pick_rbq(Q, 13);  // 13 = JIT register budget
   const int q_full = Q / rbq, q_rem = Q % rbq;
   const int n_qb = q_full + (q_rem > 0 ? 1 : 0);
-  const qconv_block_fn f = vnni_fwd_ ? vnni_fwd_ : &qconv_block_scalar;
   const float scale = qin.scale * qwt.scale;
 
   QKernelDesc d;
@@ -127,7 +127,7 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
     if (jk != nullptr)
       (*jk)(inp, wtp, o, scale);
     else
-      f(dd, inp, wtp, o, scale);
+      qconv_block_scalar(dd, inp, wtp, o, scale);
   }
 }
 

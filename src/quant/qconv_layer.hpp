@@ -28,7 +28,7 @@ class QConvLayer {
                       bool use_vnni = true, int flush_interval = 64);
 
   const core::ConvParams& params() const { return p_; }
-  bool vnni_active() const { return vnni_fwd_ != nullptr; }
+  bool vnni_active() const { return use_jit_; }
 
   /// out (fp32 blocked, same geometry as ConvLayer::make_output) =
   /// conv(qin, qwt) * qin.scale * qwt.scale.
@@ -50,7 +50,6 @@ class QConvLayer {
   int vlen_ = 16;
   int cb_ = 1, kb_ = 1;
   int flush_ = 8;
-  qconv_block_fn vnni_fwd_ = nullptr;
   qupd_block_fn vnni_upd_ = nullptr;
   bool use_jit_ = false;
   /// JIT'ed int16 kernels cached by descriptor key (generated outside the

@@ -1,7 +1,9 @@
-// AVX512-VNNI int16 kernels: vpdpwssd accumulates two int16 products per
-// int32 lane per instruction — the AVX-512 analogue of Knights Mill's 4VNNIW
-// the paper evaluates (Section II-K). Runtime-gated by cpuid; this TU is
-// compiled with -mavx512vnni and only reached when the host supports it.
+// AVX512-VNNI int16 weight-update kernel: vpdpwssd accumulates two int16
+// products per int32 lane per instruction — the AVX-512 analogue of Knights
+// Mill's 4VNNIW the paper evaluates (Section II-K). No update kernel is
+// JIT-generated, so this is the only VNNI update path (the forward is JIT'ed
+// by jit/qconv_kernel_gen.cpp). Runtime-gated by cpuid; this TU is compiled
+// with -mavx512vnni and only reached when the host supports it.
 #include "quant/qconv_kernels.hpp"
 
 #if defined(__AVX512VNNI__)
@@ -12,68 +14,6 @@
 namespace xconv::quant {
 
 namespace {
-
-constexpr int kMaxRbq = 14;
-
-// NOTE on instruction counts: vpdpwssd performs 32 int16 MACs per
-// instruction vs 16 fp32 MACs for vfmadd231ps, which is where KNM's 4VNNIW
-// 2x throughput comes from. As compiled here, the input-pair broadcast costs
-// a separate vpbroadcastd (GCC does not fold it into an EVEX embedded
-// broadcast, and an inline-asm {1to16} form measured slower due to lost
-// scheduling freedom), so on this substitution host the int16 path matches
-// rather than doubles fp32 MAC throughput — see EXPERIMENTS.md.
-
-void qconv_block_vnni_impl(const QKernelDesc& d, const std::int16_t* in,
-                           const std::int16_t* wt, float* out, float scale) {
-  // One int32 + one fp32 accumulator per pixel; flush converts and resets.
-  __m512i iacc[kMaxRbq];
-  __m512 facc[kMaxRbq];
-  const __m512 vs = _mm512_set1_ps(scale);
-  const int rbq = d.rbq;
-  const int ocs = d.out_col_stride > 0 ? d.out_col_stride : d.vlen;
-  for (int q = 0; q < rbq; ++q) {
-    iacc[q] = _mm512_setzero_si512();
-    facc[q] =
-        d.beta0 ? _mm512_setzero_ps() : _mm512_loadu_ps(out + q * ocs);
-  }
-  int chain = 0;
-  auto flush = [&]() {
-    for (int q = 0; q < rbq; ++q) {
-      facc[q] =
-          _mm512_fmadd_ps(_mm512_cvtepi32_ps(iacc[q]), vs, facc[q]);
-      iacc[q] = _mm512_setzero_si512();
-    }
-    chain = 0;
-  };
-
-  for (int cb = 0; cb < d.c_blocks; ++cb) {
-    const std::int16_t* in_b = in + cb * d.in_cb_stride;
-    const std::int16_t* wt_b = wt + cb * d.wt_cb_stride;
-    for (int r = 0; r < d.r; ++r) {
-      for (int s = 0; s < d.s; ++s) {
-        const std::int16_t* irow =
-            in_b + static_cast<std::int64_t>(r) * d.in_row_stride +
-            static_cast<std::int64_t>(s) * d.vlen;
-        const std::int16_t* wrs =
-            wt_b + (static_cast<std::int64_t>(r) * d.s + s) * 256;
-        for (int c2 = 0; c2 < d.c2_iters; ++c2) {
-          const __m512i wv = _mm512_loadu_si512(wrs + c2 * 32);
-          for (int q = 0; q < rbq; ++q) {
-            // Broadcast the 32-bit channel pair of pixel q.
-            const std::int32_t pair = *reinterpret_cast<const std::int32_t*>(
-                irow + static_cast<std::int64_t>(q) * d.stride_w * d.vlen +
-                c2 * 2);
-            const __m512i bv = _mm512_set1_epi32(pair);
-            iacc[q] = _mm512_dpwssd_epi32(iacc[q], wv, bv);
-          }
-          if (++chain == d.flush_interval) flush();
-        }
-      }
-    }
-  }
-  flush();
-  for (int q = 0; q < rbq; ++q) _mm512_storeu_ps(out + q * ocs, facc[q]);
-}
 
 void qupd_block_vnni_impl(const QUpdKernelDesc& d, const std::int16_t* in,
                           const std::int16_t* dov, float* dw, float scale) {
@@ -117,11 +57,6 @@ void qupd_block_vnni_impl(const QUpdKernelDesc& d, const std::int16_t* in,
 
 }  // namespace
 
-qconv_block_fn qconv_block_vnni() {
-  if (platform::max_isa() != platform::Isa::avx512_vnni) return nullptr;
-  return &qconv_block_vnni_impl;
-}
-
 qupd_block_fn qupd_block_vnni() {
   if (platform::max_isa() != platform::Isa::avx512_vnni) return nullptr;
   return &qupd_block_vnni_impl;
@@ -132,7 +67,6 @@ qupd_block_fn qupd_block_vnni() {
 #else  // !__AVX512VNNI__
 
 namespace xconv::quant {
-qconv_block_fn qconv_block_vnni() { return nullptr; }
 qupd_block_fn qupd_block_vnni() { return nullptr; }
 }  // namespace xconv::quant
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "gxm/graph.hpp"
+#include "platform/cpu.hpp"
 #include "topo/resnet50.hpp"
 
 using namespace xconv;
@@ -108,6 +110,23 @@ TEST(GraphBuild, MissingInputFails) {
                                     top: "d" })"),
                      quick_opts()),
                std::runtime_error);
+}
+
+TEST(GraphBuild, ConvVlenMismatchFailsAtConstruction) {
+  // The conv layer blocks at the effective ISA's width (16 when that ISA is
+  // scalar); a graph forced to the other width must fail while it is built,
+  // naming the node, not at the first forward.
+  const bool native8 = platform::vlen_fp32(platform::effective_isa()) == 8;
+  GraphOptions o = quick_opts();
+  o.vlen = native8 ? 16 : 8;
+  try {
+    Graph g(gxm::parse_topology(kDiamond), o);
+    FAIL() << "graph at vlen " << o.vlen << " built";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'c1' (Convolution)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(GraphRun, GradExportImportRoundTrip) {

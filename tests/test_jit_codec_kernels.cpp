@@ -75,7 +75,9 @@ std::vector<float> finite_payload(std::size_t n, unsigned seed) {
 
 void expect_same_bytes(const void* a, const void* b, std::size_t bytes,
                        const char* what) {
-  EXPECT_EQ(0, std::memcmp(a, b, bytes)) << what;
+  // Zero-length cases hand in the null data() of empty vectors, which
+  // memcmp may not receive even for zero bytes.
+  if (bytes > 0) EXPECT_EQ(0, std::memcmp(a, b, bytes)) << what;
 }
 
 /// Run one op through the scalar and JIT backends on identical inputs and

@@ -375,8 +375,8 @@ TEST(JitVerifySweep, FuzzedUpdAndGemmDescriptors) {
 }
 
 TEST(JitVerifySweep, ScalarClampGeneratesNoJitKernels) {
-  // The scalar ISA clamp runs compiled kernels only; the generators refuse
-  // to emit for it, so there is nothing for the verifier to accept there.
+  // The scalar ISA clamp runs the scalar C++ kernels only; the generators
+  // refuse to emit for it, so there is nothing for the verifier to accept.
   jit::ConvKernelDesc d;
   d.isa = platform::Isa::scalar;
   d.vlen = 1;

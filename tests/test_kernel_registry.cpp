@@ -55,16 +55,6 @@ TEST(Registry, BackendPreferenceIsHonored) {
   }
 }
 
-TEST(Registry, CompiledBackendFallsBackGracefully) {
-  auto& reg = kernels::KernelRegistry::instance();
-  const auto d = small_desc();
-  const auto* k = reg.conv(d, BackendPref::compiled);
-  // Either a real compiled kernel or the scalar fallback — never null.
-  ASSERT_NE(k, nullptr);
-  EXPECT_TRUE(k->backend() == Backend::compiled ||
-              k->backend() == Backend::scalar);
-}
-
 TEST(Registry, AllBackendsAgree) {
   auto& reg = kernels::KernelRegistry::instance();
   const auto d = small_desc();
@@ -80,15 +70,13 @@ TEST(Registry, AllBackendsAgree) {
   const auto base = random_vec(out_sz, 3);
 
   std::vector<std::vector<float>> outs;
-  for (BackendPref pref :
-       {BackendPref::scalar, BackendPref::compiled, BackendPref::auto_pick}) {
+  for (BackendPref pref : {BackendPref::scalar, BackendPref::auto_pick}) {
     auto out = base;
     reg.conv(d, pref)->run(in.data(), wt.data(), out.data(), in.data(),
                            wt.data(), out.data());
     outs.push_back(std::move(out));
   }
-  xconv::testing::expect_close(outs[0], outs[1], 1e-4, "scalar-vs-compiled");
-  xconv::testing::expect_close(outs[0], outs[2], 1e-4, "scalar-vs-auto");
+  xconv::testing::expect_close(outs[0], outs[1], 1e-4, "scalar-vs-auto");
 }
 
 TEST(Registry, UpdBackendsAgree) {
@@ -124,8 +112,10 @@ TEST(Registry, EnvBackendOverride) {
   EXPECT_EQ(kernels::backend_pref_from_env(), BackendPref::scalar);
   ::setenv("XCONV_BACKEND", "jit", 1);
   EXPECT_EQ(kernels::backend_pref_from_env(), BackendPref::jit);
+  // The intrinsics backend is gone; its old name falls under the lenient
+  // contract like any other unrecognized value.
   ::setenv("XCONV_BACKEND", "compiled", 1);
-  EXPECT_EQ(kernels::backend_pref_from_env(), BackendPref::compiled);
+  EXPECT_EQ(kernels::backend_pref_from_env(), BackendPref::auto_pick);
   ::setenv("XCONV_BACKEND", "bogus", 1);
   EXPECT_EQ(kernels::backend_pref_from_env(), BackendPref::auto_pick);
   ::unsetenv("XCONV_BACKEND");
@@ -174,6 +164,5 @@ TEST(Registry, ConcurrentFirstUseResolution) {
 
 TEST(Registry, BackendNames) {
   EXPECT_STREQ(kernels::backend_name(Backend::jit), "jit");
-  EXPECT_STREQ(kernels::backend_name(Backend::compiled), "compiled");
   EXPECT_STREQ(kernels::backend_name(Backend::scalar), "scalar");
 }

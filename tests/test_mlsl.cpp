@@ -46,7 +46,7 @@ TEST(Allreduce, TrafficMatchesRingFormula) {
   std::vector<float*> bufs(R);
   for (int r = 0; r < R; ++r) bufs[r] = data[r].data();
   comm.parallel([&](int rank) { comm.allreduce_sum(rank, bufs, n); });
-  EXPECT_EQ(comm.last_bytes_per_rank(),
+  EXPECT_EQ(comm.stats().bulk_logical_bytes_per_rank,
             2 * (R - 1) * n * sizeof(float) / R);
 }
 
@@ -99,7 +99,7 @@ TEST(Allreduce, TrafficCountReadableWhileRanksRace) {
     for (int iter = 0; iter < 20; ++iter) {
       comm.allreduce_sum(rank, bufs, n);
       // Every rank reads the published count without synchronizing first.
-      const std::size_t got = comm.last_bytes_per_rank();
+      const std::size_t got = comm.stats().bulk_logical_bytes_per_rank;
       EXPECT_EQ(got, 2 * (R - 1) * n * sizeof(float) / R);
     }
   });

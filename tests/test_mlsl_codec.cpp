@@ -303,7 +303,8 @@ TEST(CompressedAllreduce, Fp32CodecWithThreadPoolMatchesBulkBitwise) {
     ASSERT_EQ(0, std::memcmp(bulk_bufs[r].data(), got[r].data(),
                              n * sizeof(float)))
         << "rank " << r;
-  EXPECT_EQ(over.wire_bytes_per_rank(), over.overlap_bytes_per_rank());
+  EXPECT_EQ(over.stats().wire_bytes_per_rank,
+            over.stats().overlap_logical_bytes_per_rank);
   EXPECT_TRUE(over.residual(0).empty());  // fp32 keeps no residual state
 }
 
@@ -342,9 +343,10 @@ TEST_P(CompressedAllreduceP, ApproximatesSumAndKeepsReplicasIdentical) {
                           : static_cast<double>(R) / 256.0;
   EXPECT_LE(max_err, (R + 1) * step) << mlsl::codec_name(codec);
   // Wire accounting: 2 B/element ring bytes, ~2x compression.
-  EXPECT_LT(comm.wire_bytes_per_rank(), comm.overlap_bytes_per_rank());
-  EXPECT_GE(static_cast<double>(comm.overlap_bytes_per_rank()) /
-                static_cast<double>(comm.wire_bytes_per_rank()),
+  EXPECT_LT(comm.stats().wire_bytes_per_rank,
+            comm.stats().overlap_logical_bytes_per_rank);
+  EXPECT_GE(static_cast<double>(comm.stats().overlap_logical_bytes_per_rank) /
+                static_cast<double>(comm.stats().wire_bytes_per_rank),
             1.9);
 }
 
@@ -414,7 +416,7 @@ TEST(TopKAllreduce, SparseWireBytesAndReplicaSync) {
     comm.set_buckets(buckets);
     const auto got = overlap_round(comm, data);
     if (codec == mlsl::Codec::kTopK) {
-      wire_topk = comm.wire_bytes_per_rank();
+      wire_topk = comm.stats().wire_bytes_per_rank;
       for (int r = 1; r < R; ++r)
         ASSERT_EQ(0, std::memcmp(got[0].data(), got[r].data(),
                                  n * sizeof(float)))
@@ -423,7 +425,7 @@ TEST(TopKAllreduce, SparseWireBytesAndReplicaSync) {
       // transmitted contribution reconstructs the input exactly.
       for (int r = 0; r < R; ++r) EXPECT_GT(comm.residual_l2(r), 0.0);
     } else {
-      wire_int16 = comm.wire_bytes_per_rank();
+      wire_int16 = comm.stats().wire_bytes_per_rank;
     }
   }
   ASSERT_GT(wire_int16, 0u);
@@ -572,7 +574,8 @@ TEST(CompressedBulk, ApproximatesSumAndMatchesAcrossRanks) {
     max_err = std::max(
         max_err, static_cast<double>(std::abs(bufs_v[0][i] - want[i])));
   EXPECT_LE(max_err, (R + 1) * static_cast<double>(R) / quant::kQMax);
-  EXPECT_LT(comm.wire_bytes_per_rank(), comm.last_bytes_per_rank());
+  EXPECT_LT(comm.stats().wire_bytes_per_rank,
+            comm.stats().bulk_logical_bytes_per_rank);
 }
 
 // --- trainer-level guarantees ----------------------------------------------
@@ -683,8 +686,8 @@ TEST(MultiNodeCodec, SingleNodePublishesZeroBytesNotStaleOnes) {
   std::vector<float> buf(64, 1.0f);
   std::vector<float*> bufs = {buf.data()};
   c1.parallel([&](int rank) { c1.allreduce_sum(rank, bufs, buf.size()); });
-  EXPECT_EQ(c1.last_bytes_per_rank(), 0u);
-  EXPECT_EQ(c1.wire_bytes_per_rank(), 0u);
+  EXPECT_EQ(c1.stats().bulk_logical_bytes_per_rank, 0u);
+  EXPECT_EQ(c1.stats().wire_bytes_per_rank, 0u);
 }
 
 TEST(MultiNodeCodec, StatsReportCodecWireBytesAndPerBucketWaits) {

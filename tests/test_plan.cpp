@@ -568,7 +568,6 @@ TEST(PlanSerialization, RoundTripEveryField) {
     Case c{core::make_conv(4, 32, 32, 28, 28, 3, 3, 1), {}, true};
     c.req.isa = platform::Isa::avx2;  // vlen 8
     c.req.threads = 2;
-    c.req.backend = kernels::BackendPref::compiled;
     cases.push_back(c);
   }
   {
@@ -665,6 +664,16 @@ TEST(PlanSerialization, RejectsCorruptTruncatedVersionAndForeign) {
     other.threads = 8;
     EXPECT_EQ(core::plan_from_json(good, other.key(p), &out),
               PlanLoadStatus::key_mismatch);
+  }
+  // A cache file naming the retired "compiled" intrinsics backend is corrupt
+  // (the loader then falls back to plan_default), not silently remapped.
+  {
+    std::string s = good;
+    const std::string needle = "\"backend\": \"auto\"";
+    const auto pos = s.find(needle);
+    ASSERT_NE(pos, std::string::npos);
+    s.replace(pos, needle.size(), "\"backend\": \"compiled\"");
+    EXPECT_EQ(core::plan_from_json(s, key, &out), PlanLoadStatus::corrupt);
   }
 }
 

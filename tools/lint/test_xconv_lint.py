@@ -238,6 +238,36 @@ class RuleTest(unittest.TestCase):
     def test_no_assembler_layer_passes(self):
         self.assertEqual(lint.check_decoder_coverage(self.repo), [])
 
+    # --- simd-intrinsics ----------------------------------------------------
+
+    def test_intrinsics_outside_vnni_tu_flagged(self):
+        make_repo(self.repo, {"src/kernels/avx512_kernels.cpp":
+                              "#include <immintrin.h>\n"
+                              "// _mm512_setzero_ps() in a comment is fine\n"
+                              "void f(float* o) {\n"
+                              "  __m512 acc = _mm512_setzero_ps();\n"
+                              "  _mm512_storeu_ps(o, acc);\n"
+                              "}\n"})
+        v = lint.check_simd_intrinsics(self.repo)
+        self.assertEqual([(x.path, x.line) for x in v],
+                         [("src/kernels/avx512_kernels.cpp", 4),
+                          ("src/kernels/avx512_kernels.cpp", 5)])
+        self.assertEqual(self.rules_fired(v), {"simd-intrinsics"})
+
+    def test_intrinsics_in_vnni_tu_and_tests_allowed(self):
+        make_repo(self.repo, {
+            "src/quant/qconv_vnni.cpp":
+                "#include <immintrin.h>\n"
+                "__m512i f(__m512i a, __m512i b) {\n"
+                "  return _mm512_dpwssd_epi32(a, a, b);\n}\n",
+            "tests/test_simd.cpp":
+                "#include <immintrin.h>\n__m256 z = _mm256_setzero_ps();\n",
+            "src/platform/cpu.cpp":
+                "#include <immintrin.h>\n"
+                "unsigned long long x = _xgetbv(0);\n"
+                "unsigned short __mmask16_like = 0;\n"})
+        self.assertEqual(lint.check_simd_intrinsics(self.repo), [])
+
     # --- bench-schema -------------------------------------------------------
 
     BENCH = ('#include <cstdio>\nvoid w(std::FILE* f) {\n'

@@ -57,6 +57,13 @@ decoder-coverage
     decoder does not know about would make every kernel using it fail
     verification; this rule forces the decoder (and its Op enum, which the
     table mirrors) to grow in the same commit as the emitter.
+simd-intrinsics
+    No compiler SIMD intrinsics (``_mm*_`` calls, ``__m128``/``__m256``/
+    ``__m512`` types) in ``src/`` outside ``src/quant/qconv_vnni.cpp``, the
+    int16 VNNI update kernel no generator covers. SIMD code is generated at
+    run time by the JIT, where blocking parameters become constants (paper
+    Sections I, II-H); a statically compiled kernel beside it is a second,
+    slower path for the same job.
 
 Usage
 -----
@@ -105,6 +112,13 @@ OMP_RE = re.compile(r"#\s*pragma\s+omp\b")
 JSON_KEY_RE = re.compile(r'\\"([A-Za-z_][A-Za-z_0-9]*)\\":')
 SCHEMA_VERSION_RE = re.compile(r'\\"schema_version\\":\s*(\d+)')
 PLAN_VERSION_RE = re.compile(r"\bkPlanSchemaVersion\s*=\s*(\d+)")
+
+# The one source file allowed to use compiler SIMD intrinsics.
+INTRINSICS_ALLOWED = ("src/quant/qconv_vnni.cpp",)
+# An intrinsic call (_mm_add_ps, _mm256_fmadd_ps, _mm512_dpwssd_epi32, ...)
+# or a vector type (__m128, __m256d, __m512i, ...).
+INTRINSIC_RE = re.compile(
+    r"\b_mm\d*_\w+\s*\(|\b__m(?:128|256|512)[a-z]*\b")
 
 
 class Violation:
@@ -393,6 +407,25 @@ def check_decoder_coverage(repo: Path) -> list:
     return out
 
 
+# --- rule: simd-intrinsics -------------------------------------------------
+
+def check_simd_intrinsics(repo: Path) -> list:
+    out = []
+    for p in iter_sources(repo, ("src",)):
+        r = rel(repo, p)
+        if r in INTRINSICS_ALLOWED:
+            continue
+        code = strip_comments(p.read_text(encoding="utf-8", errors="replace"))
+        for ln, line in enumerate(code.splitlines(), 1):
+            if INTRINSIC_RE.search(line):
+                out.append(Violation(
+                    r, ln, "simd-intrinsics",
+                    "compiler SIMD intrinsic outside "
+                    "src/quant/qconv_vnni.cpp; generate SIMD code with the "
+                    "JIT (src/jit) instead"))
+    return out
+
+
 # --- rule: bench-schema -----------------------------------------------------
 
 def scan_bench_emitters(repo: Path) -> dict:
@@ -555,6 +588,7 @@ RULES = (
     check_test_registration,
     check_jit_bitwise_test,
     check_decoder_coverage,
+    check_simd_intrinsics,
     check_bench_schema,
     check_plan_schema,
 )
